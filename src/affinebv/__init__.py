@@ -43,7 +43,6 @@ from .minimize import (
     check_critical_threshold,
     minimize_level,
     sl_n_minimize_tv,
-    smoothed_objective_and_gradient,
 )
 from .oracle import EllipsoidBody, PolygonBody, energy_body, psi_ellipsoid, psi_polygon
 from .variation import (

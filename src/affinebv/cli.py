@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,9 +18,9 @@ from .energy import (
     constants,
     make_quadrature,
 )
-from .errors import AffineBVError, ConfigError
+from .errors import AffineBVError, ConfigError, GridError, ShapeError
 from .functionals import ConstraintSpec, Weights
-from .grid import GridFunction, GridSpec, make_mask, mollify
+from .grid import GridFunction, GridSpec, make_mask, mollify, parse_shape
 from .minimize import MinimizeConfig, minimize_level
 from .oracle import EllipsoidBody, PolygonBody, energy_body, psi_body
 from .serialize import read_afg, write_afg
@@ -41,34 +40,16 @@ def _load_domain(path):
     unknown = set(cfg) - KNOWN_SHAPE_KEYS
     if unknown:
         raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
-    if "shape" not in cfg:
-        raise ConfigError(f"{path}: missing required key 'shape'")
     return cfg
 
 
-def _grid_for(cfg, grid, dim=2):
+def _grid_for(cfg, grid):
     """Build the grid around the shape with ~30% margin unless the config
     pins the extent."""
     if "grid_extent" in cfg:
         ext = np.asarray(cfg["grid_extent"], dtype=float)
     else:
-        kind = cfg["shape"]
-        if kind == "box":
-            bbox = np.asarray(cfg["extents"], dtype=float)
-        elif kind == "ball":
-            c = np.asarray(cfg["center"], dtype=float)
-            r = float(cfg["radius"])
-            bbox = np.stack([c - r, c + r], axis=1)
-        elif kind == "ellipsoid":
-            c = np.asarray(cfg["center"], dtype=float)
-            A = np.asarray(cfg["matrix"], dtype=float)
-            hw = np.sqrt(np.diag(A @ A.T))
-            bbox = np.stack([c - hw, c + hw], axis=1)
-        elif kind == "polygon":
-            v = np.asarray(cfg["vertices"], dtype=float)
-            bbox = np.stack([v.min(axis=0), v.max(axis=0)], axis=1)
-        else:
-            raise ConfigError(f"unknown shape {kind!r}")
+        bbox, _, _ = parse_shape(cfg)
         span = bbox[:, 1] - bbox[:, 0]
         ext = np.stack([bbox[:, 0] - 0.3 * span, bbox[:, 1] + 0.3 * span],
                        axis=1)
@@ -142,8 +123,8 @@ def cmd_minimize(args):
     kind, zero_trace = level_map[args.level]
     cspec = ConstraintSpec(q=args.q, kind=kind, r=args.r,
                            zero_trace=zero_trace)
-    mc = MinimizeConfig(seed=args.seed, deterministic=args.deterministic,
-                        max_iters=args.max_iters, n_starts=args.starts)
+    mc = MinimizeConfig(seed=args.seed, max_iters=args.max_iters,
+                        n_starts=args.starts)
     quad = make_quadrature(spec.dim, args.dirs)
     result = minimize_level(mask, weights, cspec, config=mc, quadrature=quad,
                             backend=args.backend)
@@ -161,15 +142,9 @@ def cmd_verify(args):
                               f"{list(VerifyConfig().suites)} or 'all'")
     cfg = VerifyConfig(grid=args.grid, dirs=args.dirs, seed=args.seed,
                        n_fields=args.fields, suites=tuple(suites),
-                       deterministic=args.deterministic,
                        forced_tolerance=args.forced_tolerance)
     report = run_suite(cfg)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit(report.as_dict(), args.out)
     for r in report.records:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: worst margin {r.worst_margin:.3e} "
@@ -202,12 +177,6 @@ def build_parser():
         description="Affine BV energies, inequality verification, and "
                     "constrained minimization on uniform grids.",
     )
-    p.add_argument("--deterministic", action="store_true",
-                   help="fixed-order reductions and RNG streams")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("AFFINE_BV_THREADS", 0)) or None,
-                   help="worker pool size (default: available cores; "
-                        "AFFINE_BV_THREADS overrides)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="print closed-form constants")
@@ -268,15 +237,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on bad usage, matching the config-error contract
-        raise
+    # argparse exits 2 on bad usage, matching the config-error contract
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, ShapeError, GridError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except AffineBVError as e:

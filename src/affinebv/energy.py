@@ -53,10 +53,6 @@ class EnergyConstants:
     def omega_n(self):
         return self.omegas[-1]
 
-    @property
-    def sphere_area(self):
-        return self.dim * self.omega_n
-
     def as_dict(self):
         return {
             "dim": self.dim,
@@ -85,7 +81,8 @@ def constants(n):
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Antipodally balanced direction/weight pairs on S^(n-1)."""
+    """Antipodally paired direction/weight pairs on S^(n-1): the second half
+    of the directions is the exact negative of the first."""
 
     dim: int
     directions: np.ndarray   # (M, dim) unit vectors
@@ -94,6 +91,14 @@ class SphereQuadrature:
     @property
     def size(self):
         return len(self.weights)
+
+    @property
+    def half(self):
+        """One direction per antipodal pair with doubled weight; integrates
+        every even function (such as Psi) as the full set does."""
+        k = self.size // 2
+        return SphereQuadrature(dim=self.dim, directions=self.directions[:k],
+                                weights=self.weights[:k] * 2.0)
 
     def integrate(self, samples):
         return float(np.dot(self.weights, samples))
@@ -131,7 +136,7 @@ class EnergyBreakdown:
     """Energy value plus the per-direction diagnostics behind it."""
 
     value: float
-    psi: np.ndarray
+    psi: np.ndarray            # one per evaluated direction
     degenerate: bool
     cov_eigvals: np.ndarray | None = None
     backend: str = ""
@@ -178,8 +183,10 @@ def energy_from_psi(psi, quadrature, consts, eps_deg=DEGENERACY_EPS):
 
 def _energy_of_atoms(atoms, quadrature, consts, backend, meta=None):
     eig = covariance_eigen_ratio(atoms)
-    psi = psi_samples(atoms, quadrature.directions)
-    out = energy_from_psi(psi, quadrature, consts)
+    half = quadrature.half
+    psi = psi_samples(atoms, half.directions)
+    out = energy_from_psi(psi, half, consts)
+    out.quadrature_size = quadrature.size
     if eig < COV_EIGEN_EPS:
         # rank test is primary: force the vanishing value
         out.value = 0.0

@@ -59,12 +59,10 @@ class ConstraintSpec:
     zero_trace: bool = False   # X0 / Y0 variants
 
     def __post_init__(self):
-        n_over = None  # critical exponent depends on dim; checked at use site
         if self.kind not in ("X", "Y"):
             raise AffineBVError(f"constraint kind must be X or Y, got {self.kind}")
         if self.q < 1 or self.r < 1:
             raise AffineBVError("exponents must be >= 1")
-        del n_over
 
     def is_critical(self, dim):
         return abs(self.q - dim / (dim - 1.0)) < 1e-12
@@ -182,8 +180,8 @@ def project_constraint(u, spec, mask, tol=1e-8, max_rounds=100):
         raise AffineBVError("cannot project the zero field onto the constraint set")
     if spec.kind == "X":
         v = v.with_values(v.values / norm)
-        return ProjectionResult(v, True, 0.0, 0.0, 0)
-    scale = max(float(np.max(np.abs(v.values))), 1e-300)
+        return ProjectionResult(v, True, abs(lq_norm(v, mask, spec.q) - 1.0),
+                                0.0, 0)
     for rounds in range(1, max_rounds + 1):
         s = m_r_solve(v, mask, spec.r)
         v = v.with_values(np.where(mask.inside, v.values - s, 0.0))

@@ -101,6 +101,7 @@ class GridFunction:
 @dataclass
 class DomainMask:
     """Inside indicator plus the deterministic boundary-face enumeration.
+    No inside cell lies in the two outermost cell layers of the grid.
 
     Faces are ordered lexicographically by inside-cell flat index, then axis,
     then side (-, +).  ``true_normals`` is present only for analytic shape
@@ -170,21 +171,43 @@ class TraceData:
         return float(np.sum(np.abs(self.values) * self.areas))
 
 
-def _inside_predicate(shape_spec, spec):
-    """Return (predicate on point arrays, bounding box, normal_fn or None)."""
-    kind = shape_spec.get("shape")
+# required keys of each shape kind, with the rank of their values
+SHAPE_KEYS = {"box": {"extents": 2}, "ball": {"center": 1, "radius": 0},
+              "ellipsoid": {"center": 1, "matrix": 2}, "polygon": {"vertices": 2}}
+
+
+def parse_shape(desc):
+    """Validate a shape descriptor (kind, keys, finite numbers, dimension 2
+    or 3, positive size) or raise :class:`ShapeError`.  Returns the
+    ``(dim, 2)`` bounding box, the inside test on point arrays, and the
+    analytic outward normal (None for polygons and boxes)."""
+    kind = desc.get("shape")
+    if kind not in SHAPE_KEYS:
+        raise ShapeError(f"shape must be one of {sorted(SHAPE_KEYS)}, "
+                         f"got {kind!r}")
+    v = {}
+    for key, rank in SHAPE_KEYS[kind].items():
+        if key not in desc:
+            raise ShapeError(f"{kind} descriptor needs key {key!r}")
+        try:
+            v[key] = np.asarray(desc[key], dtype=float)
+        except (TypeError, ValueError):
+            v[key] = None
+        if v[key] is None or v[key].ndim != rank or not np.isfinite(v[key]).all():
+            raise ShapeError(f"{key!r} must be a finite rank-{rank} number "
+                             f"array, got {desc[key]!r}")
+    normal = None
     if kind == "box":
-        ext = np.asarray(shape_spec["extents"], dtype=float)
-        if ext.shape != (spec.dim, 2) or np.any(ext[:, 1] <= ext[:, 0]):
+        bbox = ext = v["extents"]
+        if ext.shape[1] != 2 or np.any(ext[:, 1] <= ext[:, 0]):
             raise ShapeError(f"bad box extents {ext.tolist()}")
 
         def pred(pts):
             return np.all((pts > ext[:, 0]) & (pts < ext[:, 1]), axis=-1)
 
-        return pred, ext, None
-    if kind == "ball":
-        c = np.asarray(shape_spec["center"], dtype=float)
-        r = float(shape_spec["radius"])
+    elif kind == "ball":
+        c = v["center"]
+        r = float(v["radius"])
         if r <= 0:
             raise ShapeError(f"ball radius must be > 0, got {r}")
         bbox = np.stack([c - r, c + r], axis=1)
@@ -196,11 +219,9 @@ def _inside_predicate(shape_spec, spec):
             d = pts - c
             return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
-        return pred, bbox, normal
-    if kind == "ellipsoid":
-        c = np.asarray(shape_spec["center"], dtype=float)
-        A = np.asarray(shape_spec["matrix"], dtype=float)
-        if A.shape != (spec.dim, spec.dim) or abs(np.linalg.det(A)) < 1e-300:
+    elif kind == "ellipsoid":
+        c, A = v["center"], v["matrix"]
+        if A.shape != (len(c), len(c)) or abs(np.linalg.det(A)) < 1e-300:
             raise ShapeError("ellipsoid matrix must be invertible and dim x dim")
         M = np.linalg.inv(A @ A.T)
         # bounding half-widths: sqrt(diag(A A^T))
@@ -215,12 +236,9 @@ def _inside_predicate(shape_spec, spec):
             g = (pts - c) @ M.T
             return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-        return pred, bbox, normal
-    if kind == "polygon":
-        if spec.dim != 2:
-            raise ShapeError("polygon shapes are 2D only")
-        verts = np.asarray(shape_spec["vertices"], dtype=float)
-        if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
+    else:
+        verts = v["vertices"]
+        if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ShapeError("polygon needs >= 3 vertices in 2D")
         bbox = np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
 
@@ -238,8 +256,9 @@ def _inside_predicate(shape_spec, spec):
                 inside ^= crosses & (x < xin)
             return inside.reshape(pts.shape[:-1])
 
-        return pred, bbox, None
-    raise ShapeError(f"unknown shape kind {kind!r}")
+    if len(bbox) not in (2, 3):
+        raise ShapeError(f"{kind} must be 2D or 3D, got {len(bbox)}D")
+    return bbox, pred, normal
 
 
 def make_mask(spec, shape_spec):
@@ -247,7 +266,10 @@ def make_mask(spec, shape_spec):
 
     The shape must fit strictly inside the grid with >= 2 cells of margin.
     """
-    pred, bbox, normal_fn = _inside_predicate(shape_spec, spec)
+    bbox, pred, normal_fn = parse_shape(shape_spec)
+    if len(bbox) != spec.dim:
+        raise ShapeError(f"{shape_spec['shape']} is {len(bbox)}D but the grid "
+                         f"is {spec.dim}D")
     lo, hi = spec.bounds()
     margin = 2 * spec.spacing
     if np.any(bbox[:, 0] < lo + margin) or np.any(bbox[:, 1] > hi - margin):
@@ -263,18 +285,9 @@ def make_mask(spec, shape_spec):
     cells, axes, signs = [], [], []
     for d in range(spec.dim):
         for s in (-1, 1):
-            nb = np.zeros_like(inside)
-            src = [slice(None)] * spec.dim
-            dst = [slice(None)] * spec.dim
-            if s == 1:
-                src[d] = slice(1, None)
-                dst[d] = slice(None, -1)
-            else:
-                src[d] = slice(None, -1)
-                dst[d] = slice(1, None)
-            nb[tuple(dst)] = inside[tuple(src)]
-            bd = inside & ~nb
-            idx = np.argwhere(bd)
+            # the margin keeps inside cells off the grid edge, so the
+            # wrap-around of roll never pairs two inside cells
+            idx = np.argwhere(inside & ~np.roll(inside, -s, axis=d))
             cells.append(idx)
             axes.append(np.full(len(idx), d))
             signs.append(np.full(len(idx), s))

@@ -16,17 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import minimize as scipy_minimize
 
-from .energy import SphereQuadrature, constants
+from .energy import COV_EIGEN_EPS, constants
 from .errors import AffineBVError
 from .functionals import phi_affine, project_constraint
 from .grid import GridFunction, mollify
-from .variation import CELL_GRADIENT, FACE_ATOMS
-
-COV_RANK_EPS = 1e-12
+from .variation import (
+    CELL_GRADIENT,
+    AtomStencil,
+    VariationAtoms,
+    covariance_eigen_ratio,
+)
 
 
 @dataclass
@@ -44,7 +46,6 @@ class MinimizeConfig:
     level_rel: float = 1e-6
     n_starts: int = 4
     seed: int = 0
-    deterministic: bool = False
 
     def __post_init__(self):
         if not (0 < self.step_shrink < 1):
@@ -101,34 +102,22 @@ class MinimizeResult:
         }
 
 
-def _reduce_antipodal(quad):
-    """Halve the direction count when the quadrature is built as +/- pairs;
-    directional variations are even in xi."""
-    M = quad.size
-    half = M // 2
-    d = quad.directions
-    if M % 2 == 0 and np.allclose(d[half:], -d[:half]):
-        return SphereQuadrature(dim=quad.dim, directions=d[:half],
-                                weights=quad.weights[:half] * 2.0)
-    return quad
-
-
 class SmoothedProblem:
     """Smoothed affine functional over the inside-cell values of a mask.
 
     The atom components are linear in the variable vector; the constructor
-    assembles one sparse matrix per spatial component so that objective and
+    assembles the atom stencil's sparse operator so that objective and
     analytic gradient are a handful of matrix products per evaluation.
     """
 
     def __init__(self, mask, weights, quadrature, backend=CELL_GRADIENT,
                  consts=None, boundary_mode=None):
         self.mask = mask
-        self.weights = weights
+        self._a = np.asarray(weights.a)
+        self._b = np.asarray(weights.b)
         self.backend = backend
         self.consts = consts or constants(mask.spec.dim)
-        self.quad = _reduce_antipodal(quadrature)
-        self.quadrature_full = quadrature
+        self.quad = quadrature.half
         spec = mask.spec
         self.dim = spec.dim
         self.cell_volume = spec.cell_volume
@@ -136,82 +125,14 @@ class SmoothedProblem:
         # smoothing width is scaled the same way inside the energy term
         self.atom_scale = spec.face_area
 
-        inside_flat = mask.inside_indices()
-        self.n_var = len(inside_flat)
-        lut = np.full(int(np.prod(spec.shape)), -1, dtype=np.int64)
-        lut[inside_flat] = np.arange(self.n_var)
-        self._inside_flat = inside_flat
-
-        trip = {d: ([], [], []) for d in range(self.dim)}
-
-        def add(d, r, c, v):
-            trip[d][0].append(np.asarray(r, dtype=np.int64))
-            trip[d][1].append(np.asarray(c, dtype=np.int64))
-            trip[d][2].append(np.asarray(v, dtype=float))
-
-        inside = mask.inside
-        area = spec.face_area
-        n_atoms = 0
-        if backend == FACE_ATOMS:
-            for d in range(self.dim):
-                lo = [slice(None)] * self.dim
-                hi = [slice(None)] * self.dim
-                lo[d] = slice(None, -1)
-                hi[d] = slice(1, None)
-                both = inside[tuple(lo)] & inside[tuple(hi)]
-                cell_lo = np.argwhere(both)
-                cell_hi = cell_lo.copy()
-                cell_hi[:, d] += 1
-                vlo = lut[np.ravel_multi_index(tuple(cell_lo.T), spec.shape)]
-                vhi = lut[np.ravel_multi_index(tuple(cell_hi.T), spec.shape)]
-                r = n_atoms + np.arange(len(vlo))
-                add(d, r, vhi, np.full(len(vlo), area))
-                add(d, r, vlo, np.full(len(vlo), -area))
-                n_atoms += len(vlo)
-        elif backend == CELL_GRADIENT:
-            cells = np.argwhere(inside)
-            var = lut[np.ravel_multi_index(tuple(cells.T), spec.shape)]
-            r = n_atoms + np.arange(len(cells))
-            for d in range(self.dim):
-                fwd = cells.copy()
-                fwd[:, d] += 1
-                bwd = cells.copy()
-                bwd[:, d] -= 1
-                nb_f = np.full(len(cells), -1, dtype=np.int64)
-                ok = fwd[:, d] < spec.shape[d]
-                nb_f[ok] = lut[np.ravel_multi_index(tuple(fwd[ok].T), spec.shape)]
-                nb_b = np.full(len(cells), -1, dtype=np.int64)
-                ok = bwd[:, d] >= 0
-                nb_b[ok] = lut[np.ravel_multi_index(tuple(bwd[ok].T), spec.shape)]
-                use_f = nb_f >= 0
-                use_b = (~use_f) & (nb_b >= 0)
-                add(d, r[use_f], nb_f[use_f], np.full(int(use_f.sum()), area))
-                add(d, r[use_f], var[use_f], np.full(int(use_f.sum()), -area))
-                add(d, r[use_b], var[use_b], np.full(int(use_b.sum()), area))
-                add(d, r[use_b], nb_b[use_b], np.full(int(use_b.sum()), -area))
-            n_atoms += len(cells)
-        else:
-            raise AffineBVError(f"unknown backend {backend!r}")
-
-        normals, areas = mask.face_normals_and_areas(boundary_mode)
-        fvar = lut[np.ravel_multi_index(tuple(mask.face_cells.T), spec.shape)]
-        r = n_atoms + np.arange(mask.n_faces)
-        for d in range(self.dim):
-            coef = -normals[:, d] * areas
-            nz = coef != 0.0
-            add(d, r[nz], fvar[nz], coef[nz])
-        n_atoms += mask.n_faces
-        self.n_atoms = n_atoms
-        self._face_var = fvar
-        self._face_areas = areas
-
-        self.B = []
-        for d in range(self.dim):
-            rr = np.concatenate(trip[d][0]) if trip[d][0] else np.zeros(0, np.int64)
-            cc = np.concatenate(trip[d][1]) if trip[d][1] else np.zeros(0, np.int64)
-            vv = np.concatenate(trip[d][2]) if trip[d][2] else np.zeros(0)
-            self.B.append(sparse.csr_matrix((vv, (rr, cc)),
-                                            shape=(n_atoms, self.n_var)))
+        self._inside_flat = mask.inside_indices()
+        stencil = AtomStencil(mask, backend, include_boundary=True,
+                              boundary_mode=boundary_mode)
+        self.n_var = stencil.n_inside
+        self.n_atoms = stencil.n_rows
+        self._face_var = stencil.rank[stencil.face_cells]
+        self._face_areas = stencil.areas
+        self.B = stencil.operator()
         self.BT = [b.T.tocsr() for b in self.B]
 
     # -- variable <-> field ------------------------------------------------
@@ -226,23 +147,12 @@ class SmoothedProblem:
     def atom_matrix(self, x):
         return np.stack([b @ x for b in self.B], axis=1)
 
-    def is_degenerate(self, x):
-        return self._degenerate_from_atoms(self.atom_matrix(x))
-
-    @staticmethod
-    def _degenerate_from_atoms(V):
-        m = np.linalg.norm(V, axis=1)
-        keep = m > 0
-        if not keep.any():
-            return True
-        M = (V[keep].T * (1.0 / m[keep])) @ V[keep]
-        tr = float(np.trace(M))
-        return tr <= 0 or float(np.linalg.eigvalsh(M)[0]) < COV_RANK_EPS * tr
+    def _degenerate(self, V):
+        atoms = VariationAtoms(dim=self.dim, atoms=V, backend=self.backend)
+        return covariance_eigen_ratio(atoms) < COV_EIGEN_EPS
 
     # -- objective ---------------------------------------------------------
-    def _energy_parts(self, x, delta, V=None):
-        if V is None:
-            V = self.atom_matrix(x)
+    def _energy_parts(self, V, delta):
         D = V @ self.quad.directions.T
         S = np.sqrt(D * D + (delta * self.atom_scale) ** 2)
         psi = S.sum(axis=0)
@@ -253,21 +163,19 @@ class SmoothedProblem:
         return D, S, psi, ssum, energy
 
     def _weight_parts(self, x, delta):
-        a = np.asarray(self.weights.a)
-        b = np.asarray(self.weights.b)
         sa = np.sqrt(x * x + delta * delta)
-        aval = float(np.sum(a * sa) * self.cell_volume)
+        aval = float(np.sum(self._a * sa) * self.cell_volume)
         xb = x[self._face_var]
         sb = np.sqrt(xb * xb + delta * delta)
-        bval = float(np.sum(b * sb * self._face_areas))
+        bval = float(np.sum(self._b * sb * self._face_areas))
         return sa, aval, sb, bval
 
     def value(self, x, delta):
         _, aval, _, bval = self._weight_parts(x, delta)
         V = self.atom_matrix(x)
-        if self._degenerate_from_atoms(V):
+        if self._degenerate(V):
             return aval + bval
-        _, _, _, _, energy = self._energy_parts(x, delta, V=V)
+        _, _, _, _, energy = self._energy_parts(V, delta)
         return energy + aval + bval
 
     def value_and_gradient(self, x, delta):
@@ -277,16 +185,14 @@ class SmoothedProblem:
         zero energy and zero energy-gradient, flagged via the third output.
         """
         sa, aval, sb, bval = self._weight_parts(x, delta)
-        a = np.asarray(self.weights.a)
-        b = np.asarray(self.weights.b)
         grad = np.zeros_like(x)
-        grad += a * (x / sa) * self.cell_volume
+        grad += self._a * (x / sa) * self.cell_volume
         np.add.at(grad, self._face_var,
-                  b * (x[self._face_var] / sb) * self._face_areas)
+                  self._b * (x[self._face_var] / sb) * self._face_areas)
         V = self.atom_matrix(x)
-        if self._degenerate_from_atoms(V):
+        if self._degenerate(V):
             return aval + bval, grad, True
-        D, S, psi, ssum, energy = self._energy_parts(x, delta, V=V)
+        D, S, psi, ssum, energy = self._energy_parts(V, delta)
         n = self.dim
         coef = (self.consts.alpha * ssum ** (-1.0 / n - 1.0)
                 * self.quad.weights * psi ** (-float(n) - 1.0))
@@ -294,22 +200,6 @@ class SmoothedProblem:
         for d in range(self.dim):
             grad += self.BT[d] @ P[:, d]
         return energy + aval + bval, grad, False
-
-
-def smoothed_objective_and_gradient(u, mask, weights, delta, quadrature,
-                                    backend=CELL_GRADIENT, consts=None,
-                                    boundary_mode=None):
-    """One-shot smoothed objective/gradient of the affine functional at u.
-
-    Returns ``(value, gradient_field, degenerate_flag)``.
-    """
-    if delta <= 0:
-        raise AffineBVError(f"smoothing width must be > 0, got {delta}")
-    prob = SmoothedProblem(mask, weights, quadrature, backend=backend,
-                           consts=consts, boundary_mode=boundary_mode)
-    x = prob.to_vector(u)
-    val, g, degen = prob.value_and_gradient(x, delta)
-    return val, prob.to_field(g), degen
 
 
 def check_gradient(prob, x, delta, n_coords=20, rng=None, fd_step=None):
@@ -516,7 +406,7 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
             histories.append(history)
             continue
         all_degenerate = False
-        level = phi_affine(pres.u, mask, weights, prob.quadrature_full,
+        level = phi_affine(pres.u, mask, weights, quadrature,
                            backend=backend, boundary_mode=boundary_mode,
                            consts=consts)
         histories.append(history + [level])

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import GridError
-from .grid import extract_trace
 
 FACE_ATOMS = "face-atoms"
 CELL_GRADIENT = "cell-gradient"
@@ -51,16 +51,6 @@ class VariationAtoms:
     def masses(self):
         return np.linalg.norm(self.atoms, axis=1)
 
-    def concat(self, other, source="extended"):
-        if other.dim != self.dim:
-            raise GridError("atom dimension mismatch")
-        return VariationAtoms(
-            dim=self.dim,
-            atoms=np.concatenate([self.atoms, other.atoms]),
-            backend=self.backend,
-            source=source,
-        )
-
     def transformed(self, T):
         """Atoms of u o T for det-1 T: each v becomes T^T v."""
         return VariationAtoms(
@@ -71,54 +61,89 @@ class VariationAtoms:
         )
 
 
-def _interior_face_atoms(u, mask):
-    spec = u.spec
-    vals = np.where(mask.inside, u.values, 0.0)
-    rows = []
-    for d in range(spec.dim):
-        lo = [slice(None)] * spec.dim
-        hi = [slice(None)] * spec.dim
-        lo[d] = slice(None, -1)
-        hi[d] = slice(1, None)
-        both = mask.inside[tuple(lo)] & mask.inside[tuple(hi)]
-        jump = (vals[tuple(hi)] - vals[tuple(lo)])[both]
-        v = np.zeros((len(jump), spec.dim))
-        v[:, d] = jump * spec.face_area
-        rows.append(v)
-    return np.concatenate(rows) if rows else np.zeros((0, spec.dim))
+def _boundary_rows(values, normals, areas):
+    """Atoms of the jump of the zero extension across boundary faces."""
+    return -values[:, None] * normals * areas[:, None]
 
 
-def _boundary_atoms(u, mask, mode=None):
-    tr = extract_trace(u, mask, mode=mode)
-    return -tr.values[:, None] * tr.normals * tr.areas[:, None]
+class AtomStencil:
+    """The variation atoms of a field on a mask as linear forms in its cell
+    values, over flat grid indices: applied to cell values it gives the atoms
+    (:meth:`apply`), to the inside-cell numbering ``rank`` the columns of the
+    atom operator (:meth:`operator`).
 
-
-def masked_gradient(u, mask):
-    """Forward-difference gradient per inside cell, one-sided at the rim.
-
-    Uses the forward inside neighbor when available, else the backward one,
-    else 0 along that axis.  Shape ``(*grid_shape, dim)``, zero outside.
+    For ``(rows, hi, lo)`` in ``interior[d]``, component ``d`` of atom
+    ``rows[k]`` is ``h**(n-1) * (f[hi[k]] - f[lo[k]])``: a face jump, or for
+    the cell gradient (times the cell volume) the forward difference, else
+    the backward one, else 0.  With ``include_boundary``, boundary face ``k``
+    adds atom ``n_interior + k``: ``-f[cell] * normal * area``.
     """
-    spec = u.spec
-    vals = np.where(mask.inside, u.values, 0.0)
-    g = np.zeros(spec.shape + (spec.dim,))
-    h = spec.spacing
-    for d in range(spec.dim):
-        fwd_ok = np.zeros_like(mask.inside)
-        bwd_ok = np.zeros_like(mask.inside)
-        sl_lo = [slice(None)] * spec.dim
-        sl_hi = [slice(None)] * spec.dim
-        sl_lo[d] = slice(None, -1)
-        sl_hi[d] = slice(1, None)
-        fwd_ok[tuple(sl_lo)] = mask.inside[tuple(sl_hi)]
-        bwd_ok[tuple(sl_hi)] = mask.inside[tuple(sl_lo)]
-        fwd = np.zeros(spec.shape)
-        fwd[tuple(sl_lo)] = vals[tuple(sl_hi)] - vals[tuple(sl_lo)]
-        bwd = np.zeros(spec.shape)
-        bwd[tuple(sl_hi)] = vals[tuple(sl_hi)] - vals[tuple(sl_lo)]
-        gd = np.where(fwd_ok, fwd, np.where(bwd_ok, bwd, 0.0)) / h
-        g[..., d] = np.where(mask.inside, gd, 0.0)
-    return g
+
+    def __init__(self, mask, backend=FACE_ATOMS, include_boundary=False,
+                 boundary_mode=None):
+        if backend not in (FACE_ATOMS, CELL_GRADIENT):
+            raise GridError(f"unknown backend {backend!r}")
+        spec = mask.spec
+        inside = mask.inside
+        self.dim = spec.dim
+        self.scale = spec.face_area
+        self.n_inside = mask.n_inside
+        # C-order number of each inside cell (meaningless outside)
+        self.rank = np.cumsum(inside.ravel()) - 1
+        self.interior = []
+        n = 0
+        for d in range(self.dim):
+            # inside cells are off the grid edge: roll never wraps onto one
+            fwd_ok = inside & np.roll(inside, -1, axis=d)
+            fwd = np.flatnonzero(fwd_ok)
+            step = int(np.prod(spec.shape[d + 1:]))
+            if backend == FACE_ATOMS:
+                self.interior.append((np.arange(n, n + len(fwd)), fwd + step, fwd))
+                n += len(fwd)
+                continue
+            # cells with a backward but no forward inside neighbor
+            end = fwd[~fwd_ok.ravel()[fwd + step]] + step
+            self.interior.append((self.rank[np.r_[fwd, end]], np.r_[fwd + step, end],
+                                  np.r_[fwd, end - step]))
+        self.n_interior = n if backend == FACE_ATOMS else self.n_inside
+        self.n_rows = self.n_interior
+        self.face_cells = None
+        if include_boundary:
+            self.face_cells = np.ravel_multi_index(tuple(mask.face_cells.T),
+                                                   spec.shape)
+            self.normals, self.areas = mask.face_normals_and_areas(boundary_mode)
+            self.n_rows += mask.n_faces
+
+    def apply(self, values):
+        """Atom components ``(n_rows, dim)`` of the field with these cell
+        values (grid-shaped)."""
+        f = np.asarray(values, dtype=float).ravel()
+        out = np.zeros((self.n_rows, self.dim))
+        for d, (rows, hi, lo) in enumerate(self.interior):
+            out[rows, d] = (f[hi] - f[lo]) * self.scale
+        if self.face_cells is not None:
+            out[self.n_interior:] = _boundary_rows(f[self.face_cells],
+                                                   self.normals, self.areas)
+        return out
+
+    def operator(self):
+        """One sparse ``(n_rows, n_inside)`` matrix per component, mapping
+        the inside-cell values ``x[rank[c]] = f[c]`` to that component of
+        the atoms."""
+        mats = []
+        for d, (rows, hi, lo) in enumerate(self.interior):
+            r, c = [rows, rows], [self.rank[hi], self.rank[lo]]
+            v = [np.full(len(rows), self.scale), np.full(len(rows), -self.scale)]
+            if self.face_cells is not None:
+                coef = -self.normals[:, d] * self.areas
+                nz = np.flatnonzero(coef)
+                r.append(self.n_interior + nz)
+                c.append(self.rank[self.face_cells[nz]])
+                v.append(coef[nz])
+            mats.append(sparse.csr_matrix(
+                (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                shape=(self.n_rows, self.n_inside)))
+        return mats
 
 
 def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False,
@@ -126,35 +151,14 @@ def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False,
     """Atomize the variation measure of ``u`` on ``mask``."""
     if u.spec != mask.spec:
         raise GridError("field and mask live on different grids")
-    if backend == FACE_ATOMS:
-        interior = _interior_face_atoms(u, mask)
-    elif backend == CELL_GRADIENT:
-        g = masked_gradient(u, mask)
-        interior = g[mask.inside] * mask.spec.cell_volume
-    else:
-        raise GridError(f"unknown backend {backend!r}")
-    if include_boundary:
-        atoms = np.concatenate([interior, _boundary_atoms(u, mask, boundary_mode)])
-        source = "extended"
-    else:
-        atoms, source = interior, "interior"
+    atoms = AtomStencil(mask, backend, include_boundary, boundary_mode).apply(u.values)
     return VariationAtoms(dim=mask.spec.dim, atoms=atoms, backend=backend,
-                          source=source)
-
-
-def boundary_atoms(u, mask, boundary_mode=None, backend=FACE_ATOMS):
-    """Atoms of the boundary jump of the zero extension only."""
-    return VariationAtoms(
-        dim=mask.spec.dim,
-        atoms=_boundary_atoms(u, mask, boundary_mode),
-        backend=backend,
-        source="boundary",
-    )
+                          source="extended" if include_boundary else "interior")
 
 
 def atoms_from_trace(trace, dim, backend=FACE_ATOMS):
     """Boundary atoms built directly from :class:`TraceData`."""
-    v = -trace.values[:, None] * trace.normals * trace.areas[:, None]
+    v = _boundary_rows(trace.values, trace.normals, trace.areas)
     return VariationAtoms(dim=dim, atoms=v, backend=backend, source="boundary")
 
 
@@ -176,25 +180,15 @@ def directional_variation(atoms, xi):
 
 
 def psi_samples(atoms, directions, chunk=16384):
-    """Psi_xi for a batch of unit directions, shape (M,).
-
-    Evaluation is chunked over atoms to bound the working set, and when the
-    direction list is antipodally paired (second half = -first half) only
-    one half is computed: Psi is even in xi exactly.
-    """
-    dirs = np.asarray(directions, dtype=float)
-    M = len(dirs)
-    half = M // 2
-    paired = M % 2 == 0 and np.array_equal(dirs[half:], -dirs[:half])
-    D = (dirs[:half] if paired else dirs).T
+    """Psi_xi for a batch of unit directions, shape (M,).  Evaluation is
+    chunked over atoms to bound the working set."""
+    D = np.asarray(directions, dtype=float).T
     v = atoms.atoms
     out = np.zeros(D.shape[1])
     for i in range(0, len(v), chunk):
         P = v[i:i + chunk] @ D
         np.abs(P, out=P)
         out += P.sum(axis=0)
-    if paired:
-        out = np.concatenate([out, out])
     return out
 
 

@@ -76,7 +76,6 @@ class VerifyConfig:
     n_maps: int = 50
     suites: tuple = ("sobolev_zhang", "comparisons", "superadditivity",
                      "affine_invariance", "wirtinger_gap", "huang_li")
-    deterministic: bool = False
     forced_tolerance: float | None = None   # harness self-test hook
 
     def as_dict(self):
@@ -87,7 +86,6 @@ class VerifyConfig:
             "n_fields": self.n_fields,
             "n_maps": self.n_maps,
             "suites": list(self.suites),
-            "deterministic": self.deterministic,
             "forced_tolerance": self.forced_tolerance,
         }
 
@@ -263,12 +261,10 @@ def check_superadditivity(corpus, mask, quadrature, tolerance=1e-3,
         if mags.size == 0:
             continue
         levels = np.quantile(mags, np.linspace(0.15, 0.95, n_levels))
-        for h in levels:
-            if h <= 0:
-                continue
+        e = affine_energy_extended(u, mask, FACE_ATOMS, quadrature,
+                                   consts=consts)
+        for h in levels:   # quantiles of positive magnitudes: h > 0
             pair = truncate(u, float(h))
-            e = affine_energy_extended(u, mask, FACE_ATOMS, quadrature,
-                                       consts=consts)
             et = affine_energy_extended(pair.truncated, mask, FACE_ATOMS,
                                         quadrature, consts=consts)
             er = affine_energy_extended(pair.remainder, mask, FACE_ATOMS,

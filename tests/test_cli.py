@@ -98,6 +98,19 @@ class TestEnergy:
         code, _, err = run_main(capsys, "energy", "--domain", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("desc", [
+        {"shape": "ball"},
+        {"shape": "ball", "center": [0.0, 0.0], "radius": "x"},
+        {"shape": "ball", "center": [0.0, 0.0], "radius": -1},
+    ], ids=["missing-keys", "non-numeric-radius", "negative-radius"])
+    def test_bad_descriptor_exits_2(self, capsys, tmp_path, desc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(desc))
+        code, _, err = run_main(capsys, "energy", "--domain", str(path))
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -183,6 +196,12 @@ class TestVerify:
             "--forced-tolerance", "-1.0")
         assert code == 1
         assert "FAIL" in err
+
+    def test_tiny_grid_exit_two(self, capsys):
+        code, _, err = run_main(capsys, "verify", "--grid", "2")
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
 
     def test_unknown_suite_exit_two(self, capsys):
         code, _, err = run_main(capsys, "verify", "--suite", "nonsense")

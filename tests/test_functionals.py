@@ -199,6 +199,15 @@ class TestProjection:
         assert np.allclose(once.values, twice.values, atol=1e-12)
         assert lq_norm(once, mask, 2.0) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_x_norm_residual_measured(self, square64, q):
+        spec, mask = square64
+        cs = ConstraintSpec(q=q, kind="X", r=1.0, zero_trace=False)
+        u = random_field(spec, mask, seed=38, smooth=2)
+        res = project_constraint(u, cs, mask)
+        assert res.norm_residual == abs(lq_norm(res.u, mask, q) - 1.0)
+        assert res.norm_residual <= 1e-8
+
     def test_square_indicator_already_unit(self, square64):
         spec, mask = square64
         cs = ConstraintSpec(q=2.0, kind="X", r=1.0, zero_trace=False)

@@ -246,3 +246,118 @@ class TestAtomTransform:
         tv_resampled = total_variation(
             compute_atoms(v, mask, backend=CELL_GRADIENT))
         assert tv_atoms == pytest.approx(tv_resampled, rel=0.02)
+
+
+# -- reference stencil: explicit loops over cells and faces --------------------
+
+H = 0.37   # not a power of two, so scalings round
+
+
+def _stencil_masks():
+    """Tiny masks with forward, backward and zero differences at the rim."""
+    s2 = GridSpec(dim=2, shape=(8, 8), spacing=H, origin=(0.0, 0.0))
+    # L shape one cell thick: zero differences across each arm
+    ell = [[2.1, 2.1], [5.9, 2.1], [5.9, 2.9], [2.9, 2.9], [2.9, 5.9],
+           [2.1, 5.9]]
+    yield "L2d", make_mask(s2, {"shape": "polygon",
+                                "vertices": (H * np.array(ell)).tolist()})
+    yield "ellipse2d", make_mask(s2, {
+        "shape": "ellipsoid", "center": [4 * H, 4 * H],
+        "matrix": (H * np.array([[1.3, 0.5], [-0.4, 1.1]])).tolist()})
+    s3 = GridSpec(dim=3, shape=(6, 6, 6), spacing=H, origin=(0.0,) * 3)
+    yield "ball3d", make_mask(s3, {"shape": "ball", "center": [3 * H] * 3,
+                                   "radius": 0.95 * H})
+    s3 = GridSpec(dim=3, shape=(8, 8, 8), spacing=H, origin=(0.0,) * 3)
+    # one cell layer in z: zero z-differences everywhere
+    yield "slab3d", make_mask(s3, {
+        "shape": "ellipsoid", "center": [4 * H, 4 * H, 3.5 * H],
+        "matrix": (H * np.diag([1.6, 1.2, 0.6])).tolist()})
+
+
+def _reference_atoms(f, mask, backend, mode, include_boundary, kinds=None):
+    """Atoms by loops; ``kinds`` collects the cell-gradient difference kinds."""
+    kinds = set() if kinds is None else kinds
+    spec = mask.spec
+    n, h, shape, inside = spec.dim, spec.spacing, spec.shape, mask.inside
+
+    def neighbor(c, d, s):
+        nb = list(c)
+        nb[d] += s
+        nb = tuple(nb)
+        return nb if 0 <= nb[d] < shape[d] and inside[nb] else None
+
+    rows = []
+    if backend == FACE_ATOMS:
+        for d in range(n):
+            for c in np.ndindex(shape):
+                if inside[c] and neighbor(c, d, 1):
+                    v = np.zeros(n)
+                    v[d] = (f[neighbor(c, d, 1)] - f[c]) * h ** (n - 1)
+                    rows.append(v)
+    else:
+        for c in np.ndindex(shape):
+            if not inside[c]:
+                continue
+            g = np.zeros(n)
+            for d in range(n):
+                fwd, bwd = neighbor(c, d, 1), neighbor(c, d, -1)
+                if fwd:
+                    g[d] = (f[fwd] - f[c]) / h
+                    kinds.add("forward")
+                elif bwd:
+                    g[d] = (f[c] - f[bwd]) / h
+                    kinds.add("backward")
+                else:
+                    kinds.add("zero")
+            rows.append(g * h ** n)
+    if include_boundary:
+        k = 0
+        for c in np.ndindex(shape):
+            for d in range(n):
+                for s in (-1, 1):
+                    if not inside[c] or neighbor(c, d, s):
+                        continue
+                    assert tuple(mask.face_cells[k]) == c
+                    if mode == "normal-corrected" and mask.true_normals is not None:
+                        nu = mask.true_normals[k]
+                        area = h ** (n - 1) * abs(nu[d])
+                    else:
+                        nu = np.zeros(n)
+                        nu[d] = s
+                        area = h ** (n - 1)
+                    rows.append(-f[c] * nu * area)
+                    k += 1
+        assert k == mask.n_faces
+    return np.array(rows).reshape(-1, n)
+
+
+def _assert_rel(actual, expected, rtol=1e-15):
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= rtol * np.abs(expected))
+
+
+class TestStencilReference:
+    @pytest.mark.parametrize("backend", [FACE_ATOMS, CELL_GRADIENT])
+    @pytest.mark.parametrize("mode", ["face-sum", "normal-corrected"])
+    def test_matches_loops(self, backend, mode):
+        from affinebv import Weights, make_quadrature
+        from affinebv.minimize import SmoothedProblem
+
+        rng = np.random.default_rng(7)
+        kinds = set()
+        for name, mask in _stencil_masks():
+            spec = mask.spec
+            u = GridFunction(spec, rng.normal(size=spec.shape))
+            for incl in (False, True):
+                ref = _reference_atoms(u.values, mask, backend, mode, incl)
+                ref = ref[np.linalg.norm(ref, axis=1) >= 1e-30]
+                atoms = compute_atoms(u, mask, backend=backend,
+                                      include_boundary=incl,
+                                      boundary_mode=mode)
+                _assert_rel(atoms.atoms, ref)
+            prob = SmoothedProblem(mask, Weights(), make_quadrature(spec.dim, 8),
+                                   backend=backend, boundary_mode=mode)
+            ref = _reference_atoms(u.values, mask, backend, mode, True, kinds)
+            _assert_rel(prob.atom_matrix(prob.to_vector(u)), ref)
+        if backend == CELL_GRADIENT:
+            assert kinds == {"forward", "backward", "zero"}

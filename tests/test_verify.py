@@ -70,6 +70,26 @@ class TestIndividualChecks:
         rec = check_superadditivity(fields, mask, quad)
         assert rec.passed
 
+    def test_superadditivity_energy_calls(self, monkeypatch):
+        # E(u) once per field, then E(T_h u) and E(R_h u) per level
+        from affinebv import verify
+
+        spec, mask = square_domain(64)
+        quad = make_quadrature(2, 128)
+        fields = [(f"f{i}", u) for i, u in enumerate(
+            random_bumps(mask, 3, np.random.default_rng(1), signed=True))]
+        calls = []
+        original = verify.affine_energy_extended
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(verify, "affine_energy_extended", counted)
+        rec = check_superadditivity(fields, mask, quad, n_levels=4)
+        assert rec.count == 3 * 4
+        assert len(calls) == 3 * (1 + 2 * 4)
+
     def test_superadditivity_trivial_level(self):
         from affinebv import affine_energy_extended, truncate
 
@@ -132,7 +152,7 @@ class TestRunSuite:
         assert not report.passed
 
     def test_deterministic_reports_identical(self):
-        cfg = small_config(deterministic=True, suites=("comparisons",))
+        cfg = small_config(suites=("comparisons",))
         r1 = run_suite(cfg).to_json()
         r2 = run_suite(cfg).to_json()
         assert r1 == r2
