@@ -47,7 +47,14 @@ def _grid_for(cfg, grid):
     """Build the grid around the shape with ~30% margin unless the config
     pins the extent."""
     if "grid_extent" in cfg:
-        ext = np.asarray(cfg["grid_extent"], dtype=float)
+        try:
+            ext = np.asarray(cfg["grid_extent"], dtype=float)
+        except (TypeError, ValueError):
+            ext = np.empty(0)
+        if not (ext.ndim == 2 and ext.shape[0] in (2, 3) and ext.shape[1] == 2
+                and np.all(np.isfinite(ext)) and np.all(ext[:, 1] > ext[:, 0])):
+            raise ConfigError("grid_extent must be [[lo, hi], ...] with finite "
+                              f"lo < hi per axis, got {cfg['grid_extent']!r}")
     else:
         bbox, _, _ = parse_shape(cfg)
         span = bbox[:, 1] - bbox[:, 0]
@@ -102,8 +109,9 @@ def cmd_energy(args):
             raise ConfigError("field grid does not match the domain grid")
     else:
         u = GridFunction(spec, mask.inside.astype(float))
-    if args.sigma > 0:
-        u = mollify(u, args.sigma * spec.spacing)
+    if not args.sigma >= 0:
+        raise ConfigError(f"--sigma must be >= 0, got {args.sigma}")
+    u = mollify(u, args.sigma * spec.spacing)
     quad = make_quadrature(spec.dim, args.dirs)
     e = affine_energy_extended(u, mask, args.backend, quad)
     _emit({"energy": e.as_dict(), "grid": list(spec.shape),

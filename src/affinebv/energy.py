@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma
 
-from .errors import AffineBVError, GridError
+from .errors import AffineBVError, ConfigError
 from .variation import (
     atoms_from_trace,
     compute_atoms,
@@ -108,7 +108,7 @@ def make_quadrature(n, M):
     """Equispaced angles for n=2; antipodally symmetrized Fibonacci sphere
     for n=3.  ``M`` must be even and >= 4."""
     if M < 4 or M % 2 != 0:
-        raise AffineBVError(f"direction count must be even and >= 4, got {M}")
+        raise ConfigError(f"direction count must be even and >= 4, got {M}")
     if n == 2:
         # half circle plus exact mirror: keeps the antipodal pairing
         # bit-exact, which even-integrand evaluations exploit
@@ -127,7 +127,7 @@ def make_quadrature(n, M):
         dirs = np.concatenate([pts, -pts])
         w = np.full(M, 4 * math.pi / M)
     else:
-        raise AffineBVError(f"quadrature supports n in {{2, 3}}, got {n}")
+        raise ConfigError(f"quadrature supports n in {{2, 3}}, got {n}")
     return SphereQuadrature(dim=n, directions=dirs, weights=w)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import affine_energy_extended, constants
-from .errors import AffineBVError, GridError
+from .errors import AffineBVError, ConfigError, GridError
 from .grid import GridFunction, extract_trace, lq_norm
 from .variation import CELL_GRADIENT, compute_atoms, total_variation
 
@@ -60,9 +60,9 @@ class ConstraintSpec:
 
     def __post_init__(self):
         if self.kind not in ("X", "Y"):
-            raise AffineBVError(f"constraint kind must be X or Y, got {self.kind}")
-        if self.q < 1 or self.r < 1:
-            raise AffineBVError("exponents must be >= 1")
+            raise ConfigError(f"constraint kind must be X or Y, got {self.kind}")
+        if not (self.q >= 1 and self.r >= 1):
+            raise ConfigError(f"exponents must be >= 1, got q={self.q}, r={self.r}")
 
     def is_critical(self, dim):
         return abs(self.q - dim / (dim - 1.0)) < 1e-12

@@ -15,7 +15,7 @@ backends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -37,19 +37,23 @@ class VariationAtoms:
     atoms: np.ndarray          # (N, dim)
     backend: str
     source: str = "interior"   # interior / boundary / extended
+    _masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float).reshape(-1, self.dim)
         if not np.all(np.isfinite(a)):
             raise GridError("atoms contain non-finite components")
         mass = np.linalg.norm(a, axis=1)
-        self.atoms = a[mass >= ATOM_ELISION]
+        keep = mass >= ATOM_ELISION
+        self.atoms = a[keep]
+        self._masses = mass[keep]
 
     def __len__(self):
         return len(self.atoms)
 
     def masses(self):
-        return np.linalg.norm(self.atoms, axis=1)
+        """Atom norms, computed once at construction."""
+        return self._masses
 
     def transformed(self, T):
         """Atoms of u o T for det-1 T: each v becomes T^T v."""
@@ -176,19 +180,51 @@ def directional_variation(atoms, xi):
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise GridError(f"direction must be unit, |xi| = {np.linalg.norm(xi)}")
-    return float(np.sum(np.abs(atoms.atoms @ xi)))
+    return float(psi_samples(atoms, xi[None])[0])
+
+
+def _fold(v):
+    """Rows of ``v`` (n, 2) turned by pi where needed so that their angle,
+    returned alongside, lies in [0, pi); |v . xi| is unchanged."""
+    flip = (v[:, 1] < 0) | ((v[:, 1] == 0) & (v[:, 0] < 0))
+    v = np.where(flip[:, None], -v, v)
+    return v, np.arctan2(v[:, 1], v[:, 0])
 
 
 def psi_samples(atoms, directions, chunk=16384):
-    """Psi_xi for a batch of unit directions, shape (M,).  Evaluation is
-    chunked over atoms to bound the working set."""
-    D = np.asarray(directions, dtype=float).T
+    """Psi_xi = sum_i |v_i . xi| for a batch of directions, shape (M,), exact
+    up to rounding.
+
+    * Atoms with one nonzero component (interior face atoms, axis-normal
+      boundary atoms, 2D cell gradients with a zero difference) add
+      ``|xi_d| * sum |v_d|`` per axis ``d``.
+    * The other 2D atoms are folded to angles in [0, pi) and sorted once.
+      The line orthogonal to xi splits them into two angular runs on each of
+      which ``v . xi`` keeps its sign, so with prefix sums P the run sums are
+      ``|P_k . xi|`` and ``|(P_N - P_k) . xi|``: O((N + M) log N) in all.
+    * Only the other 3D atoms go through the dense product, chunked over
+      atoms to bound the working set.
+    """
+    D = np.asarray(directions, dtype=float).reshape(-1, atoms.dim)
     v = atoms.atoms
-    out = np.zeros(D.shape[1])
+    axis = np.count_nonzero(v, axis=1) == 1
+    out = np.abs(D) @ np.abs(v[axis]).sum(axis=0)
+    v = v[~axis]
+    if atoms.dim == 2:
+        v, phi = _fold(v)
+        order = np.argsort(phi)
+        P = np.zeros((len(v) + 1, 2))
+        np.cumsum(v[order], axis=0, out=P[1:])
+        # the runs meet at the angle of xi turned by pi/2
+        _, split = _fold(np.stack([-D[:, 1], D[:, 0]], axis=1))
+        left = P[np.searchsorted(phi[order], split)]
+        out += np.abs(np.einsum("ij,ij->i", left, D))
+        out += np.abs(np.einsum("ij,ij->i", P[-1] - left, D))
+        return out
     for i in range(0, len(v), chunk):
-        P = v[i:i + chunk] @ D
-        np.abs(P, out=P)
-        out += P.sum(axis=0)
+        prod = v[i:i + chunk] @ D.T
+        np.abs(prod, out=prod)
+        out += prod.sum(axis=0)
     return out
 
 
@@ -201,8 +237,7 @@ def covariance(atoms):
     if len(atoms) == 0:
         return np.zeros((atoms.dim, atoms.dim))
     v = atoms.atoms
-    m = np.linalg.norm(v, axis=1)
-    return (v.T * (1.0 / m)) @ v
+    return (v.T * (1.0 / atoms.masses())) @ v
 
 
 def covariance_eigen_ratio(atoms):

@@ -111,6 +111,27 @@ class TestEnergy:
         assert err.startswith("configuration error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("extent", ["x", [[0.0, 1.0]], [[0.0, "a"], [0.0, 1.0]],
+                                        [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["string", "one-axis", "non-numeric", "inverted"])
+    def test_bad_grid_extent_exits_2(self, capsys, tmp_path, extent):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"shape": "ball", "center": [0.0, 0.0],
+                                    "radius": 0.5, "grid_extent": extent}))
+        code, _, err = run_main(capsys, "energy", "--domain", str(path))
+        assert code == 2
+        assert err.startswith("configuration error: grid_extent")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", [["--dirs", "3"], ["--sigma", "-1"]],
+                             ids=["odd-dirs", "negative-sigma"])
+    def test_bad_option_exits_2(self, capsys, disk_cfg, option):
+        code, _, err = run_main(capsys, "energy", "--domain", disk_cfg,
+                                "--grid", "32", *option)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -170,6 +191,13 @@ class TestMinimize:
             main(["minimize", "--level", "bogus", "--q", "1.0",
                   "--domain", square_cfg])
         assert exc.value.code == 2
+
+    def test_bad_exponent_exits_2(self, capsys, square_cfg):
+        code, _, err = run_main(capsys, "minimize", "--level", "cA",
+                                "--q", "0.5", "--domain", square_cfg)
+        assert code == 2
+        assert err.startswith("configuration error: exponents")
+        assert err.count("\n") == 1
 
     def test_missing_required_flag_exits_2(self, square_cfg):
         with pytest.raises(SystemExit) as exc:

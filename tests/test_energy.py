@@ -198,6 +198,26 @@ class TestAffineEnergies:
                                     make_quadrature(2, 512)).value
         assert abs(e2 - e1) / e1 < 1e-3
 
+    def test_quadrature_convergence_disk_indicator(self):
+        """Extended face-atom energy of the 256^2 unit-disk indicator: every
+        M from 512 to 16384 is within 1e-6 of M = 32768, which is within
+        criterion 2's 3e-2 of the closed form."""
+        from affinebv.oracle import EllipsoidBody, energy_body
+
+        spec = GridSpec(dim=2, shape=(256, 256), spacing=2.6 / 256,
+                        origin=(-1.3, -1.3))
+        mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0],
+                                "radius": 1.0})
+        u = indicator(spec, mask)
+        values = {M: affine_energy_extended(u, mask, FACE_ATOMS,
+                                            make_quadrature(2, M)).value
+                  for M in 2 ** np.arange(9, 16)}
+        ref = values.pop(32768)
+        for M, value in values.items():
+            assert abs(value - ref) / ref <= 1e-6, M
+        exact = energy_body(EllipsoidBody(dim=2, matrix=np.eye(2)))
+        assert abs(ref - exact) / exact <= 3e-2
+
     def test_degenerate_three_way_agreement(self, square64, quad128):
         spec, mask = square64
         y = spec.cell_centers()[..., 1]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinebv import (
@@ -12,6 +12,7 @@ from affinebv import (
     covariance,
     directional_variation,
     make_mask,
+    make_quadrature,
     total_variation,
     zero_extend,
 )
@@ -19,6 +20,7 @@ from affinebv.errors import GridError
 from affinebv.variation import (
     CELL_GRADIENT,
     FACE_ATOMS,
+    VariationAtoms,
     covariance_eigen_ratio,
     psi_samples,
 )
@@ -172,10 +174,138 @@ class TestDirectionalVariation:
         assert np.allclose(batch, singles, rtol=1e-12)
 
 
+# -- Psi against the dense product ----------------------------------------------
+
+def dense_psi(atoms, dirs):
+    """Reference sum_i |v_i . xi_j| over the full atoms x directions product,
+    summed pairwise over the atoms."""
+    return np.abs(np.asarray(dirs) @ atoms.atoms.T).sum(axis=1)
+
+
+def assert_psi_agrees(atoms, dirs, rtol=1e-12):
+    psi = psi_samples(atoms, dirs)
+    ref = dense_psi(atoms, dirs)
+    assert psi.shape == ref.shape
+    err = np.abs(psi - ref)
+    worst = np.max(err / np.maximum(ref, np.finfo(float).tiny), initial=0.0)
+    assert np.all(err <= rtol * ref), f"worst rel {worst:.2e}"
+
+
+def make_atoms(v, dim=2):
+    return VariationAtoms(dim=dim, atoms=np.asarray(v, dtype=float),
+                          backend=FACE_ATOMS)
+
+
+def sphere_dirs(dim, rng, n_random=32, M=64):
+    """Half-sphere quadrature directions plus random unit directions."""
+    r = rng.normal(size=(n_random, dim))
+    return np.concatenate([make_quadrature(dim, M).half.directions,
+                           r / np.linalg.norm(r, axis=1, keepdims=True)])
+
+
+class TestPsiSamples:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+           dim=st.sampled_from([2, 3]), axis_frac=st.floats(0, 1),
+           antipodal=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_sets(self, seed, n, dim, axis_frac, antipodal):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n, dim)) * rng.lognormal(0, 2, size=(n, 1))
+        # a fraction of the atoms keeps one component only
+        axis = rng.random(n) < axis_frac
+        v[axis] *= np.eye(dim)[rng.integers(0, dim, axis.sum())]
+        if antipodal:
+            v = np.concatenate([v, -v[::2], v[1::3]])
+        atoms = make_atoms(v, dim)
+        dirs = sphere_dirs(dim, rng)
+        # the float dot product has condition sum |v_d xi_d| / |v . xi|;
+        # agreement at 1e-12 is only meaningful where Psi is well conditioned
+        ref = dense_psi(atoms, dirs)
+        assume(np.all(np.abs(dirs) @ np.abs(atoms.atoms).sum(axis=0) <= 1e3 * ref))
+        assert_psi_agrees(atoms, dirs)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_axis_aligned_sets(self, dim):
+        rng = np.random.default_rng(21)
+        v = rng.normal(size=(500, dim)) * np.eye(dim)[rng.integers(0, dim, 500)]
+        assert_psi_agrees(make_atoms(v, dim), sphere_dirs(dim, rng))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_antipodal_duplicates(self, dim):
+        rng = np.random.default_rng(22)
+        v = rng.normal(size=(200, dim))
+        dup = make_atoms(np.concatenate([v, -v, v]), dim)
+        dirs = sphere_dirs(dim, rng)
+        assert_psi_agrees(dup, dirs)
+        np.testing.assert_allclose(psi_samples(dup, dirs),
+                                   3 * psi_samples(make_atoms(v, dim), dirs),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("v", [[0.6, -0.8], [-3.0, 0.0], [0.0, 2.5],
+                                   [0.3, -0.5, 0.8], [0.0, 0.0, -1.5]])
+    def test_single_atom(self, v):
+        dim = len(v)
+        assert_psi_agrees(make_atoms([v], dim),
+                          make_quadrature(dim, 64).half.directions)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_set_is_zero(self, dim):
+        atoms = make_atoms(np.zeros((5, dim)), dim)
+        assert len(atoms) == 0
+        psi = psi_samples(atoms, make_quadrature(dim, 64).directions)
+        assert psi.shape == (64,)
+        assert np.all(psi == 0.0)
+
+    def test_angles_zero_and_pi(self):
+        rng = np.random.default_rng(23)
+        edge = [[1.0, 0.0], [-1.0, 0.0], [-2.0, -0.0], [0.5, -0.0],
+                [0.0, -1.0], [-0.0, 3.0], [0.0, -0.0]]
+        v = np.concatenate([edge, rng.normal(size=(40, 2))])
+        dirs = np.concatenate([sphere_dirs(2, rng),
+                               [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [-0.0, -1.0]]])
+        assert_psi_agrees(make_atoms(v), dirs)
+        assert_psi_agrees(make_atoms(edge), dirs)
+
+    def test_atoms_on_the_split(self):
+        # atoms exactly orthogonal to quadrature directions: their dot
+        # product is 0, so they sit where the two sign runs meet
+        rng = np.random.default_rng(24)
+        dirs = make_quadrature(2, 128).half.directions
+        ortho = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+        scale = rng.uniform(0.5, 2.0, size=(len(dirs), 1))
+        v = np.concatenate([ortho * scale, -ortho[::3], rng.normal(size=(50, 2))])
+        assert_psi_agrees(make_atoms(v), dirs)
+
+    @pytest.mark.parametrize("backend", [FACE_ATOMS, CELL_GRADIENT])
+    @pytest.mark.parametrize("stretch", [1e5, 1e-5])
+    def test_stretched_grid_atoms(self, disk64, backend, stretch):
+        spec, mask = disk64
+        u = random_field(spec, mask, seed=25, smooth=2)
+        atoms = compute_atoms(u, mask, backend=backend, include_boundary=True)
+        stretched = atoms.transformed(np.diag([stretch, 1 / stretch]))
+        dirs = make_quadrature(2, 512).half.directions
+        ref = dense_psi(stretched, dirs)
+        assert ref.min() < 1e-9 * total_variation(stretched)
+        assert_psi_agrees(stretched, dirs)
+
+    # face atoms: axis interior, oblique boundary; cell gradients: the reverse
+    @pytest.mark.parametrize("backend, mode", [(FACE_ATOMS, "normal-corrected"),
+                                               (CELL_GRADIENT, "face-sum")])
+    def test_3d_mixed_sets(self, backend, mode):
+        spec = GridSpec(dim=3, shape=(24, 24, 24), spacing=2.6 / 24,
+                        origin=(-1.3,) * 3)
+        mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.05, 0.0],
+                                "radius": 0.9})
+        u = random_field(spec, mask, seed=26, smooth=1)
+        atoms = compute_atoms(u, mask, backend=backend, include_boundary=True,
+                              boundary_mode=mode)
+        axis = np.count_nonzero(atoms.atoms, axis=1) == 1
+        assert 0 < axis.sum() < len(atoms)
+        assert_psi_agrees(atoms, sphere_dirs(3, np.random.default_rng(26), M=256))
+
+
 class TestCovariance:
     def test_parallel_atoms_rank_one(self):
-        from affinebv.variation import VariationAtoms
-
         atoms = VariationAtoms(dim=2,
                                atoms=np.array([[1.0, 0], [2.0, 0], [-3.0, 0]]),
                                backend=FACE_ATOMS, source="interior")
@@ -183,6 +313,13 @@ class TestCovariance:
         evals = np.linalg.eigvalsh(M)
         assert evals[0] == pytest.approx(0.0, abs=1e-14)
         assert evals[1] == pytest.approx(6.0, rel=1e-12)
+
+    def test_masses_are_row_norms(self, disk64):
+        spec, mask = disk64
+        atoms = compute_atoms(random_field(spec, mask, seed=16), mask,
+                              backend=CELL_GRADIENT, include_boundary=True)
+        assert np.array_equal(atoms.masses(),
+                              np.linalg.norm(atoms.atoms, axis=1))
 
     def test_trace_equals_total_variation(self, disk64):
         spec, mask = disk64
