@@ -155,8 +155,9 @@ def cmd_verify(args):
     _emit(report.as_dict(), args.out)
     for r in report.records:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: worst margin {r.worst_margin:.3e} "
-              f"(tol {r.tolerance:.3e})", file=sys.stderr)
+        note = ", vacuous: nothing tested" if r.details.get("vacuous") else ""
+        print(f"{status} {r.name}: slack {r.details['slack']:.3e} "
+              f"(tol {r.tolerance:.3e}{note})", file=sys.stderr)
     return 0 if report.passed else 1
 
 

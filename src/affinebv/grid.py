@@ -63,11 +63,15 @@ class GridSpec:
     def axis_centers(self, d):
         return self.origin[d] + (np.arange(self.shape[d]) + 0.5) * self.spacing
 
+    def axes(self):
+        """Cell-center coordinates one axis at a time, each broadcastable to
+        the grid shape (a sparse ``meshgrid``)."""
+        return np.meshgrid(*(self.axis_centers(d) for d in range(self.dim)),
+                           indexing="ij", sparse=True)
+
     def cell_centers(self):
         """Cell-center coordinates, shape ``(*grid_shape, dim)``."""
-        axes = [self.axis_centers(d) for d in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return np.stack(np.broadcast_arrays(*self.axes()), axis=-1)
 
     def bounds(self):
         lo = np.asarray(self.origin)
@@ -147,10 +151,11 @@ class DomainMask:
         return self.true_normals, base * w
 
     def face_centers(self):
-        centers = self.spec.cell_centers()[tuple(self.face_cells.T)]
+        spec = self.spec
+        centers = np.asarray(spec.origin) + (self.face_cells + 0.5) * spec.spacing
         offs = np.zeros_like(centers)
         offs[np.arange(self.n_faces), self.face_axes] = (
-            self.face_signs * 0.5 * self.spec.spacing
+            self.face_signs * 0.5 * spec.spacing
         )
         return centers + offs
 
@@ -171,6 +176,16 @@ class TraceData:
         return float(np.sum(np.abs(self.values) * self.areas))
 
 
+def row_norms(a):
+    """Euclidean norm of each row of ``a`` (N, n).  The squares are summed
+    one component at a time in component order, which is bit-identical to
+    ``np.linalg.norm(a, axis=1)`` without its length-n inner loop per row."""
+    s = a[:, 0] * a[:, 0]
+    for d in range(1, a.shape[1]):
+        s += a[:, d] * a[:, d]
+    return np.sqrt(s)
+
+
 # required keys of each shape kind, with the rank of their values
 SHAPE_KEYS = {"box": {"extents": 2}, "ball": {"center": 1, "radius": 0},
               "ellipsoid": {"center": 1, "matrix": 2}, "polygon": {"vertices": 2}}
@@ -179,8 +194,11 @@ SHAPE_KEYS = {"box": {"extents": 2}, "ball": {"center": 1, "radius": 0},
 def parse_shape(desc):
     """Validate a shape descriptor (kind, keys, finite numbers, dimension 2
     or 3, positive size) or raise :class:`ShapeError`.  Returns the
-    ``(dim, 2)`` bounding box, the inside test on point arrays, and the
-    analytic outward normal (None for polygons and boxes)."""
+    ``(dim, 2)`` bounding box, the inside test and the analytic outward
+    normal (None for polygons and boxes).  The inside test takes per-axis
+    coordinates that broadcast against each other (:meth:`GridSpec.axes`)
+    and builds its sums one component at a time; the normal takes ``(K,
+    dim)`` points."""
     kind = desc.get("shape")
     if kind not in SHAPE_KEYS:
         raise ShapeError(f"shape must be one of {sorted(SHAPE_KEYS)}, "
@@ -202,8 +220,11 @@ def parse_shape(desc):
         if ext.shape[1] != 2 or np.any(ext[:, 1] <= ext[:, 0]):
             raise ShapeError(f"bad box extents {ext.tolist()}")
 
-        def pred(pts):
-            return np.all((pts > ext[:, 0]) & (pts < ext[:, 1]), axis=-1)
+        def pred(xs):
+            out = True
+            for x, (lo, hi) in zip(xs, ext):
+                out = out & (x > lo) & (x < hi)
+            return out
 
     elif kind == "ball":
         c = v["center"]
@@ -212,12 +233,12 @@ def parse_shape(desc):
             raise ShapeError(f"ball radius must be > 0, got {r}")
         bbox = np.stack([c - r, c + r], axis=1)
 
-        def pred(pts):
-            return np.sum((pts - c) ** 2, axis=-1) < r * r
+        def pred(xs):
+            return sum((x - ck) ** 2 for x, ck in zip(xs, c)) < r * r
 
         def normal(pts):
             d = pts - c
-            return d / np.linalg.norm(d, axis=-1, keepdims=True)
+            return d / row_norms(d)[:, None]
 
     elif kind == "ellipsoid":
         c, A = v["center"], v["matrix"]
@@ -228,13 +249,14 @@ def parse_shape(desc):
         hw = np.sqrt(np.diag(A @ A.T))
         bbox = np.stack([c - hw, c + hw], axis=1)
 
-        def pred(pts):
-            d = pts - c
-            return np.einsum("...i,ij,...j->...", d, M, d) < 1.0
+        def pred(xs):
+            d = [x - ck for x, ck in zip(xs, c)]
+            return sum(d[i] * M[i, j] * d[j] for i in range(len(d))
+                       for j in range(len(d))) < 1.0
 
         def normal(pts):
             g = (pts - c) @ M.T
-            return g / np.linalg.norm(g, axis=-1, keepdims=True)
+            return g / row_norms(g)[:, None]
 
     else:
         verts = v["vertices"]
@@ -242,10 +264,9 @@ def parse_shape(desc):
             raise ShapeError("polygon needs >= 3 vertices in 2D")
         bbox = np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
 
-        def pred(pts):
-            flat = pts.reshape(-1, 2)
-            x, y = flat[:, 0], flat[:, 1]
-            inside = np.zeros(len(flat), dtype=bool)
+        def pred(xs):
+            x, y = xs
+            inside = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
             n = len(verts)
             for i in range(n):
                 x1, y1 = verts[i]
@@ -254,7 +275,7 @@ def parse_shape(desc):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     xin = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
                 inside ^= crosses & (x < xin)
-            return inside.reshape(pts.shape[:-1])
+            return inside
 
     if len(bbox) not in (2, 3):
         raise ShapeError(f"{kind} must be 2D or 3D, got {len(bbox)}D")
@@ -278,7 +299,7 @@ def make_mask(spec, shape_spec):
             f"[{(lo + margin).tolist()}, {(hi - margin).tolist()}] "
             "(needs 2 cells of margin)"
         )
-    inside = pred(spec.cell_centers())
+    inside = pred(spec.axes())
     if not inside.any():
         raise ShapeError("shape rasterizes to an empty interior")
 

@@ -22,7 +22,7 @@ from scipy.optimize import minimize as scipy_minimize
 from .energy import COV_EIGEN_EPS, constants
 from .errors import AffineBVError
 from .functionals import phi_affine, project_constraint
-from .grid import GridFunction, mollify
+from .grid import GridFunction, mollify, parse_shape, row_norms
 from .variation import (
     CELL_GRADIENT,
     AtomStencil,
@@ -228,9 +228,7 @@ def _inscribed_ellipsoid_field(mask, rng, round_ball=False, sigma_cells=2.0):
     """Mollified indicator of an inscribed ball / randomly oriented
     ellipsoid, a natural near-extremal profile."""
     spec = mask.spec
-    centers = spec.cell_centers()
-    pts = centers[mask.inside]
-    c = pts.mean(axis=0)
+    c = spec.cell_centers()[mask.inside].mean(axis=0)
     rad = max(_inradius(mask, c) - 2 * spec.spacing, 2 * spec.spacing)
     if round_ball:
         A = np.eye(spec.dim) * rad
@@ -239,17 +237,15 @@ def _inscribed_ellipsoid_field(mask, rng, round_ball=False, sigma_cells=2.0):
         s = rng.uniform(0.6, 1.0, size=spec.dim)
         s *= rad / np.prod(s) ** (1.0 / spec.dim)
         A = q @ np.diag(s)
-    M = np.linalg.inv(A @ A.T)
-    d = centers - c
-    ind = (np.einsum("...i,ij,...j->...", d, M, d) < 1.0).astype(float)
-    u = GridFunction(spec, np.where(mask.inside, ind, 0.0))
+    _, inside, _ = parse_shape({"shape": "ellipsoid", "center": c, "matrix": A})
+    u = GridFunction(spec, np.where(mask.inside & inside(spec.axes()), 1.0, 0.0))
     return mollify(u, sigma_cells * spec.spacing)
 
 
 def _inradius(mask, c):
     """Distance from c to the nearest boundary-face center."""
     fc = mask.face_centers()
-    return float(np.min(np.linalg.norm(fc - c, axis=1)))
+    return float(np.min(row_norms(fc - c)))
 
 
 def _random_bump_field(mask, rng, sigma_cells=3.0):
@@ -262,15 +258,15 @@ def _random_bump_field(mask, rng, sigma_cells=3.0):
 def _two_bump_field(mask, rng, sigma_cells=2.0):
     """Antisymmetric two-bump profile, a natural start for Y."""
     spec = mask.spec
-    centers = spec.cell_centers()
-    pts = centers[mask.inside]
+    pts = spec.cell_centers()[mask.inside]
     c = pts.mean(axis=0)
     spread = pts.std(axis=0)
     axis = np.zeros(spec.dim)
     axis[int(rng.integers(spec.dim))] = 1.0
     off = 0.8 * spread * axis
     r2 = (0.5 * float(spread.min())) ** 2
-    bump = lambda p0: np.exp(-np.sum((centers - p0) ** 2, axis=-1) / r2)
+    xs = spec.axes()
+    bump = lambda p0: np.exp(-sum((x - pk) ** 2 for x, pk in zip(xs, p0)) / r2)
     vals = bump(c + off) - bump(c - off)
     u = GridFunction(spec, np.where(mask.inside, vals, 0.0))
     return mollify(u, sigma_cells * spec.spacing)
@@ -312,7 +308,7 @@ def _descend(prob, cspec, x0, config):
     x = prob.to_vector(pres.u)
     # pick delta so the smoothing floor (each atom gains ~delta*atom_scale)
     # contributes a small fraction of the initial total variation
-    tv0 = float(np.linalg.norm(prob.atom_matrix(x), axis=1).sum())
+    tv0 = float(row_norms(prob.atom_matrix(x)).sum())
     floor = max(prob.n_atoms * prob.atom_scale, 1e-300)
     data_range = float(np.max(x) - np.min(x)) or 1.0
     delta = config.delta0_frac * max(tv0, 1e-12 * data_range) / floor
@@ -484,7 +480,7 @@ def sl_n_minimize_tv(atoms, n_restarts=10, seed=0, maxiter=None):
     def F_params(p):
         A = np.tensordot(p, basis, axes=1)
         T = expm(A)
-        return float(np.sum(np.linalg.norm(V @ T, axis=1)))
+        return float(np.sum(row_norms(V @ T)))
 
     rng = np.random.default_rng(seed)
     k = len(basis)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import GridError
+from .grid import row_norms
 
 FACE_ATOMS = "face-atoms"
 CELL_GRADIENT = "cell-gradient"
@@ -41,12 +42,16 @@ class VariationAtoms:
 
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float).reshape(-1, self.dim)
-        if not np.all(np.isfinite(a)):
+        mass = row_norms(a)
+        # finite components above about 1e154 overflow their mass to inf, so
+        # the components decide what is non-finite
+        if not np.isfinite(mass).all() and not np.isfinite(a).all():
             raise GridError("atoms contain non-finite components")
-        mass = np.linalg.norm(a, axis=1)
         keep = mass >= ATOM_ELISION
-        self.atoms = a[keep]
-        self._masses = mass[keep]
+        if not keep.all():
+            a, mass = a[keep], mass[keep]
+        self.atoms = a
+        self._masses = mass
 
     def __len__(self):
         return len(self.atoms)
@@ -207,8 +212,9 @@ def psi_samples(atoms, directions, chunk=16384):
     """
     D = np.asarray(directions, dtype=float).reshape(-1, atoms.dim)
     v = atoms.atoms
-    axis = np.count_nonzero(v, axis=1) == 1
-    out = np.abs(D) @ np.abs(v[axis]).sum(axis=0)
+    cols = [v[:, d] for d in range(atoms.dim)]
+    axis = sum((c != 0).astype(np.int8) for c in cols) == 1
+    out = np.abs(D) @ np.array([np.abs(c[axis]).sum() for c in cols])
     v = v[~axis]
     if atoms.dim == 2:
         v, phi = _fold(v)
@@ -218,8 +224,9 @@ def psi_samples(atoms, directions, chunk=16384):
         # the runs meet at the angle of xi turned by pi/2
         _, split = _fold(np.stack([-D[:, 1], D[:, 0]], axis=1))
         left = P[np.searchsorted(phi[order], split)]
-        out += np.abs(np.einsum("ij,ij->i", left, D))
-        out += np.abs(np.einsum("ij,ij->i", P[-1] - left, D))
+        right = P[-1] - left
+        out += np.abs(left[:, 0] * D[:, 0] + left[:, 1] * D[:, 1])
+        out += np.abs(right[:, 0] * D[:, 0] + right[:, 1] * D[:, 1])
         return out
     for i in range(0, len(v), chunk):
         prod = v[i:i + chunk] @ D.T

@@ -67,6 +67,20 @@ class CheckRecord:
         }
 
 
+def _record(slack, **fields):
+    """A :class:`CheckRecord` whose ``details["slack"]`` is the smallest
+    margin over the check's own pass conditions, >= 0 exactly when it passes
+    (whatever ``worst_margin`` means for that check).  A check that tested
+    nothing (``count == 0``) passes vacuously: ``details["vacuous"]`` is set
+    and its slack is 0."""
+    details = dict(fields.pop("details", {}))
+    if fields["count"] == 0:
+        details["vacuous"] = True
+        slack = 0.0
+    details["slack"] = float(slack)
+    return CheckRecord(details=details, **fields)
+
+
 @dataclass
 class VerifyConfig:
     grid: int = 128
@@ -144,8 +158,8 @@ def ellipse_domain(grid, matrix):
 def random_bumps(mask, count, rng, signed=False, n_bumps=3):
     """Smooth compactly supported fields: sums of random Gaussian bumps."""
     spec = mask.spec
-    centers = spec.cell_centers()
-    pts = centers[mask.inside]
+    pts = spec.cell_centers()[mask.inside]
+    xs = spec.axes()
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = hi - lo
     out = []
@@ -157,7 +171,7 @@ def random_bumps(mask, count, rng, signed=False, n_bumps=3):
             amp = rng.uniform(0.3, 1.0)
             if signed and rng.random() < 0.5:
                 amp = -amp
-            vals += amp * np.exp(-np.sum((centers - c) ** 2, axis=-1)
+            vals += amp * np.exp(-sum((x - ck) ** 2 for x, ck in zip(xs, c))
                                  / (2 * w * w))
         vals = np.where(mask.inside, vals, 0.0)
         out.append(mollify(GridFunction(spec, vals), 1.5 * spec.spacing))
@@ -188,12 +202,14 @@ def check_sobolev_zhang(corpus, mask, quadrature, backend=CELL_GRADIENT,
             details[name] = ratio
             passed &= (1 - tolerance) <= ratio <= upper
     passed &= (count == 0) or (worst >= 1 - tolerance)
-    return CheckRecord(
+    # details holds the equality-case ratios; their lower bound is in worst
+    slack = min([worst - (1 - tolerance)] + [upper - r for r in details.values()])
+    return _record(
         name="sobolev_zhang",
         statement="sharp * ||u||_{n/(n-1)} <= E(ext); near-equality at ellipsoids",
         corpus=f"{count} fields on {mask.descriptor.get('shape')}",
         count=count, worst_margin=float(worst if count else 0.0),
-        tolerance=tolerance, passed=bool(passed),
+        tolerance=tolerance, passed=bool(passed), slack=slack,
         details=details,
     )
 
@@ -235,7 +251,7 @@ def check_comparisons(corpus, mask, quadrature, tolerance=1e-3,
                        (e_int.value + e_bdy.value - e_ext.value) / scale)
     passed = (c1_worst <= tolerance and c2_worst <= equality_tol
               and c3_worst <= tolerance)
-    return CheckRecord(
+    return _record(
         name="comparisons",
         statement="E(ext) <= TV + trace; E(ext) = E(int) at zero trace; "
                   "E(ext) >= E(int) + E(bdy)",
@@ -243,6 +259,8 @@ def check_comparisons(corpus, mask, quadrature, tolerance=1e-3,
         count=count,
         worst_margin=float(max(c1_worst, c2_worst, c3_worst)),
         tolerance=tolerance, passed=bool(passed),
+        slack=min(tolerance - c1_worst, equality_tol - c2_worst,
+                  tolerance - c3_worst),
         details={"c1_worst": c1_worst, "c2_worst": c2_worst,
                  "c3_worst": c3_worst},
     )
@@ -272,12 +290,13 @@ def check_superadditivity(corpus, mask, quadrature, tolerance=1e-3,
             scale = max(e.value, 1e-30)
             worst = max(worst, (et.value + er.value - e.value) / scale)
             count += 1
-    return CheckRecord(
+    return _record(
         name="superadditivity",
         statement="E(u) >= E(T_h u) + E(R_h u)",
         corpus=f"{count} (field, level) pairs",
         count=count, worst_margin=float(worst if count else 0.0),
         tolerance=tolerance, passed=bool(count == 0 or worst <= tolerance),
+        slack=tolerance - worst,
     )
 
 
@@ -314,12 +333,13 @@ def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0,
         except AffineBVError:
             pass  # support escaped the grid; the atom path already covered T
     passed = atom_worst <= atom_tol and resample_worst <= resample_tol
-    return CheckRecord(
+    return _record(
         name="affine_invariance",
         statement="E(u o T) = E(u) for det T = 1",
         corpus=f"{count} (field, map) pairs",
         count=count, worst_margin=float(max(atom_worst, resample_worst)),
         tolerance=atom_tol, passed=bool(passed),
+        slack=min(atom_tol - atom_worst, resample_tol - resample_worst),
         details={"atom_worst": atom_worst, "resample_worst": resample_worst},
     )
 
@@ -345,15 +365,18 @@ def check_wirtinger_gap(grid=128, dirs=256):
     v = GridFunction(spec, np.where(mask.inside, x + y * y, 0.0))
     e_ctrl = affine_energy_interior(v, mask, CELL_GRADIENT, quad, consts=consts)
 
-    passed = (e.degenerate and e.value == 0.0 and nrm > 0.5 * 0.3
-              and eig < 1e-12 and not e_ctrl.degenerate and e_ctrl.value > 0)
-    return CheckRecord(
+    flags = (e.degenerate and e.value == 0.0 and not e_ctrl.degenerate
+             and e_ctrl.value > 0)
+    passed = flags and nrm > 0.5 * 0.3 and eig < 1e-12
+    # a failed yes/no condition counts as a full violation
+    slack = min(1e-12 - eig, nrm - 0.5 * 0.3) if flags else -1.0
+    return _record(
         name="wirtinger_gap",
         statement="no constant A with A ||u - mean||_q <= E(int): "
                   "single-direction counterexample",
         corpus="sin(pi x) on the unit square; x + y^2 negative control",
         count=2, worst_margin=float(eig), tolerance=1e-12,
-        passed=bool(passed),
+        passed=bool(passed), slack=slack,
         details={"energy": e.value, "centered_l1": nrm,
                  "eigen_ratio": eig, "control_energy": e_ctrl.value},
     )
@@ -378,13 +401,13 @@ def check_huang_li(corpus, mask, quadrature, tolerance=1e-2, seed=0,
                          "f_identity": total_variation(atoms),
                          "energy": e}
         count += 1
-    return CheckRecord(
+    return _record(
         name="huang_li",
         statement="d0 * min_{det T = 1} TV(u o T) <= E(ext)",
         corpus=f"{count} fields",
         count=count, worst_margin=float(worst if count else 0.0),
         tolerance=tolerance, passed=bool(count == 0 or worst <= tolerance),
-        details=details,
+        slack=tolerance - worst, details=details,
     )
 
 
@@ -403,9 +426,9 @@ def run_suite(config=None):
         return [(f"{prefix}_{i}", u) for i, u in enumerate(fields)]
 
     if config.n_fields == 0:
-        report = VerifyReport(records=[CheckRecord(
+        report = VerifyReport(records=[_record(
             name=name, statement="", corpus="empty", count=0,
-            worst_margin=0.0, tolerance=0.0, passed=True,
+            worst_margin=0.0, tolerance=0.0, passed=True, slack=0.0,
             details={"empty": True},
         ) for name in config.suites], config=config)
         return report
@@ -457,5 +480,6 @@ def run_suite(config=None):
         for r in records:
             r.tolerance = config.forced_tolerance
             r.passed = bool(abs(r.worst_margin) <= config.forced_tolerance)
+            r.details["slack"] = config.forced_tolerance - abs(r.worst_margin)
 
     return VerifyReport(records=records, config=config)

@@ -225,6 +225,20 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in err
 
+    def test_summary_prints_slack_and_vacuous(self, capsys):
+        code, _, err = run_main(
+            capsys, "verify", "--grid", "64", "--dirs", "64", "--fields", "0")
+        assert code == 0
+        lines = err.strip().splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            assert line.startswith("PASS") and "slack" in line
+            assert "vacuous" in line
+        _, _, err = run_main(
+            capsys, "verify", "--suite", "wirtinger_gap", "--grid", "64",
+            "--dirs", "64", "--fields", "2")
+        assert "slack" in err and "vacuous" not in err
+
     def test_tiny_grid_exit_two(self, capsys):
         code, _, err = run_main(capsys, "verify", "--grid", "2")
         assert code == 2

@@ -86,6 +86,102 @@ class TestMakeMask:
             assert not ok or not inside[tuple(nb)]
 
 
+def random_descriptor(kind, dim, rng):
+    """A random shape that fits [-1, 1]^dim."""
+    c = rng.uniform(-0.2, 0.2, dim)
+    if kind == "ball":
+        return {"shape": "ball", "center": c.tolist(),
+                "radius": float(rng.uniform(0.3, 0.8))}
+    if kind == "box":
+        half = rng.uniform(0.2, 0.8, dim)
+        return {"shape": "box", "extents": np.stack([c - half, c + half], 1).tolist()}
+    if kind == "ellipsoid":
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        return {"shape": "ellipsoid", "center": c.tolist(),
+                "matrix": (q @ np.diag(rng.uniform(0.3, 0.8, dim))).tolist()}
+    t = np.sort(rng.uniform(0, 2 * np.pi, 7))
+    r = rng.uniform(0.3, 0.8, 7)
+    return {"shape": "polygon",
+            "vertices": (c + np.stack([r * np.cos(t), r * np.sin(t)], 1)).tolist()}
+
+
+def reference_mask(spec, desc):
+    """Rasterization on the full cell-center array: the inside test reduces
+    over the coordinate axis, faces come from a loop over inside cells in C
+    order, then axis, then side (-, +).  Returns (inside, face_cells,
+    face_axes, face_signs, face_centers, true_normals or None)."""
+    pts = spec.cell_centers()
+    normal = None
+    if desc["shape"] == "ball":
+        c = np.asarray(desc["center"], dtype=float)
+        inside = np.sum((pts - c) ** 2, axis=-1) < float(desc["radius"]) ** 2
+
+        def normal(p):
+            return (p - c) / np.linalg.norm(p - c, axis=-1, keepdims=True)
+    elif desc["shape"] == "box":
+        ext = np.asarray(desc["extents"], dtype=float)
+        inside = np.all((pts > ext[:, 0]) & (pts < ext[:, 1]), axis=-1)
+    elif desc["shape"] == "ellipsoid":
+        c = np.asarray(desc["center"], dtype=float)
+        A = np.asarray(desc["matrix"], dtype=float)
+        M = np.linalg.inv(A @ A.T)
+        inside = np.einsum("...i,ij,...j->...", pts - c, M, pts - c) < 1.0
+
+        def normal(p):
+            g = (p - c) @ M.T
+            return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    else:
+        verts = np.asarray(desc["vertices"], dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+        inside = np.zeros(spec.shape, dtype=bool)
+        for (x1, y1), (x2, y2) in zip(verts, np.roll(verts, -1, axis=0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xin = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
+            inside ^= ((y1 > y) != (y2 > y)) & (x < xin)
+    cells, axes, signs, centers = [], [], [], []
+    for cell in np.argwhere(inside):
+        for d in range(spec.dim):
+            for s in (-1, 1):
+                nb = cell.copy()
+                nb[d] += s
+                if not inside[tuple(nb)]:
+                    cells.append(cell)
+                    axes.append(d)
+                    signs.append(s)
+                    off = np.zeros(spec.dim)
+                    off[d] = s * 0.5 * spec.spacing
+                    centers.append(pts[tuple(cell)] + off)
+    centers = np.array(centers)
+    return (inside, np.array(cells), np.array(axes), np.array(signs), centers,
+            None if normal is None else normal(centers))
+
+
+class TestRasterReference:
+    """make_mask builds its inside test and face centers one axis at a time;
+    every array must equal the full-array rasterization exactly."""
+
+    @pytest.mark.parametrize("dim,kind", [
+        (2, "ball"), (2, "box"), (2, "ellipsoid"), (2, "polygon"),
+        (3, "ball"), (3, "box"), (3, "ellipsoid")])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_full_array_rasterization(self, dim, kind, seed):
+        n = 64 if dim == 2 else 20
+        spec = GridSpec(dim=dim, shape=(n,) * dim, spacing=2.6 / n,
+                        origin=(-1.3,) * dim)
+        desc = random_descriptor(kind, dim, np.random.default_rng([seed, dim]))
+        mask = make_mask(spec, desc)
+        inside, cells, axes, signs, centers, normals = reference_mask(spec, desc)
+        assert np.array_equal(mask.inside, inside)
+        assert np.array_equal(mask.face_cells, cells)
+        assert np.array_equal(mask.face_axes, axes)
+        assert np.array_equal(mask.face_signs, signs)
+        assert np.array_equal(mask.face_centers(), centers)
+        if normals is None:
+            assert mask.true_normals is None
+        else:
+            assert np.array_equal(mask.true_normals, normals)
+
+
 class TestZeroExtend:
     def test_indicator(self, square64):
         spec, mask = square64

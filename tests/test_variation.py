@@ -18,6 +18,7 @@ from affinebv import (
 )
 from affinebv.errors import GridError
 from affinebv.variation import (
+    ATOM_ELISION,
     CELL_GRADIENT,
     FACE_ATOMS,
     VariationAtoms,
@@ -302,6 +303,43 @@ class TestPsiSamples:
         axis = np.count_nonzero(atoms.atoms, axis=1) == 1
         assert 0 < axis.sum() < len(atoms)
         assert_psi_agrees(atoms, sphere_dirs(3, np.random.default_rng(26), M=256))
+
+
+class TestAtomMasses:
+    """VariationAtoms computes masses one component at a time; they must be
+    bit-identical to the row norms, with elision and validation unchanged."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_masses_and_elision_match_row_norms(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(5000, dim)) * 10.0 ** rng.uniform(-40, 40, (5000, 1))
+        a[::7] = 0.0
+        a[1::7, 1:] = 0.0          # axis atoms
+        a[2::7] *= 1e-29           # straddle the elision threshold
+        ref = np.linalg.norm(a, axis=1)
+        keep = ref >= ATOM_ELISION
+        assert 0 < keep.sum() < len(a)
+        atoms = VariationAtoms(dim=dim, atoms=a, backend=FACE_ATOMS)
+        assert np.array_equal(atoms.masses(), ref[keep])
+        assert np.array_equal(atoms.atoms, a[keep])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_components_rejected(self, dim, bad):
+        a = np.ones((4, dim))
+        a[2, dim - 1] = bad
+        with pytest.raises(GridError):
+            VariationAtoms(dim=dim, atoms=a, backend=FACE_ATOMS)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_finite_components_with_overflowing_mass_accepted(self, dim):
+        a = np.full((3, dim), 1e200)
+        a[1] = 3.0
+        with np.errstate(over="ignore"):
+            atoms = VariationAtoms(dim=dim, atoms=a, backend=FACE_ATOMS)
+            ref = np.linalg.norm(a, axis=1)
+        assert len(atoms) == 3
+        assert np.array_equal(atoms.masses(), ref)
 
 
 class TestCovariance:

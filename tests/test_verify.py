@@ -1,5 +1,6 @@
 """Verification harness: suite behavior, report schema, determinism."""
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -129,7 +130,8 @@ class TestIndividualChecks:
                   enumerate(random_bumps(mask, 2, rng))]
         rec = check_huang_li(fields, mask, quad)
         assert rec.passed
-        for d in rec.details.values():
+        for name, _ in fields:
+            d = rec.details[name]
             assert d["f_best"] <= d["f_identity"] * (1 + 1e-12)
 
 
@@ -145,6 +147,50 @@ class TestRunSuite:
         report = run_suite(small_config(n_fields=0))
         assert report.passed
         assert all(r.details.get("empty") for r in report.records)
+        assert all(r.details["vacuous"] for r in report.records)
+
+    def test_zero_norm_corpus_vacuous(self):
+        _, mask = disk_domain(48)
+        quad = make_quadrature(2, 32)
+        zeros = [(f"z{i}", GridFunction.zeros(mask.spec)) for i in range(3)]
+        records = [check_sobolev_zhang(zeros, mask, quad),
+                   check_superadditivity(zeros, mask, quad),
+                   check_affine_invariance(zeros, mask, quad, n_maps=2),
+                   check_huang_li(zeros, mask, quad)]
+        for rec in records:
+            assert rec.count == 0 and rec.passed, rec.name
+            assert rec.details["vacuous"] is True, rec.name
+            assert rec.details["slack"] == 0.0, rec.name
+        # a check that did test something is not flagged
+        rec = check_comparisons(zeros, mask, quad)
+        assert rec.count == 3 and "vacuous" not in rec.details
+
+    @pytest.mark.parametrize("forced", [None, 1e-3])
+    def test_slack_sign_is_pass(self, forced):
+        report = run_suite(small_config(forced_tolerance=forced))
+        outcomes = {r.passed for r in report.records}
+        assert outcomes == ({True} if forced is None else {True, False})
+        for r in report.records:
+            assert (r.details["slack"] >= 0) == r.passed, r.name
+        # records stay plain dataclasses that consumers can copy with changes
+        assert dataclasses.replace(report.records[0], count=0).count == 0
+
+    def test_slack_negative_on_failing_checks(self):
+        _, mask = disk_domain(64)
+        quad = make_quadrature(2, 64)
+        disk = [("disk", GridFunction(mask.spec, mask.inside.astype(float)))]
+        bumps = [(f"b{i}", u) for i, u in
+                 enumerate(random_bumps(mask, 2, np.random.default_rng(3)))]
+        records = [
+            # the disk ratio is about 1, above this upper bound
+            check_sobolev_zhang(disk, mask, quad, backend="face-atoms",
+                                equality_cases=("disk",), upper=0.9),
+            check_comparisons(bumps, mask, quad, equality_tol=-1.0),
+            check_huang_li(bumps, mask, quad, tolerance=-1.0),
+        ]
+        for rec in records:
+            assert not rec.passed, rec.name
+            assert rec.details["slack"] < 0, rec.name
 
     def test_forced_tolerance_fails(self):
         report = run_suite(small_config(forced_tolerance=0.0,
