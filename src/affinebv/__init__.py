@@ -37,7 +37,6 @@ from .grid import (
     zero_extend,
 )
 from .minimize import (
-    AffineMap,
     MinimizeConfig,
     MinimizeResult,
     check_critical_threshold,

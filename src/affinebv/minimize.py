@@ -7,8 +7,9 @@ the constraint set, and ``delta`` is halved on stagnation.  The reported
 level is always the nonsmooth functional re-evaluated at the final
 projected iterate.
 
-The SL(n) search behind the Huang-Li normalization is derivative-free:
-Nelder-Mead over the traceless generator of ``T = exp(A)``.
+The SL(n) search behind the Huang-Li normalization is the Petty-Tyler
+fixed point ``T <- T M^{-1/2}`` on the variation covariance M of the
+transformed atoms, stopped at isotropy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize as scipy_minimize
 
 from .energy import COV_EIGEN_EPS, constants
 from .errors import AffineBVError
@@ -27,7 +26,9 @@ from .variation import (
     CELL_GRADIENT,
     AtomStencil,
     VariationAtoms,
+    covariance,
     covariance_eigen_ratio,
+    total_variation,
 )
 
 
@@ -53,29 +54,6 @@ class MinimizeConfig:
         for name in ("delta_min", "stall_rel", "level_rel", "sufficient_decrease"):
             if getattr(self, name) <= 0:
                 raise AffineBVError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Unit-determinant map parametrized as the exponential of a traceless
-    generator, so the determinant constraint holds to roundoff."""
-
-    matrix: np.ndarray
-    generator: np.ndarray
-
-    @staticmethod
-    def from_generator(A):
-        A = np.asarray(A, dtype=float)
-        if abs(np.trace(A)) > 1e-12 * max(1.0, float(np.abs(A).max())):
-            raise AffineBVError("generator must be traceless")
-        T = expm(A)
-        if abs(np.linalg.det(T) - 1.0) > 1e-10:
-            raise AffineBVError("exponential drifted off det = 1")
-        return AffineMap(matrix=T, generator=A)
-
-    @staticmethod
-    def identity(n):
-        return AffineMap(matrix=np.eye(n), generator=np.zeros((n, n)))
 
 
 @dataclass
@@ -448,50 +426,34 @@ def check_critical_threshold(level, consts):
 
 # -- SL(n) normalization -----------------------------------------------------
 
-def traceless_basis(n):
-    """Basis of the n^2 - 1 dimensional space of traceless matrices."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                E = np.zeros((n, n))
-                E[i, j] = 1.0
-                basis.append(E)
-    for k in range(n - 1):
-        E = np.zeros((n, n))
-        E[k, k] = 1.0
-        E[k + 1, k + 1] = -1.0
-        basis.append(E)
-    return np.array(basis)
+# the fixed point stops once lambda_min > (1 - ISOTROPY_TOL) * lambda_max
+ISOTROPY_TOL = 1e-13
+SLN_MAX_ITERS = 200
 
 
-def sl_n_minimize_tv(atoms, n_restarts=10, seed=0, maxiter=None):
-    """Minimize the total variation of the transformed atoms over SL(n).
+def sl_n_minimize_tv(atoms):
+    """Minimize ``F(T) = sum_i |T^T v_i|`` over det T = 1 by the Petty-Tyler
+    fixed point; returns ``(T, F(T), lambda_min / lambda_max)``, the last
+    value certifying the isotropy reached.
 
-    ``F(T) = sum_i |T^T v_i|`` with ``T = exp(A)``, A traceless.  The
-    identity is always a start, so ``F(T_best) <= F(I)``.
+    F is geodesically convex on SL(n)/SO(n) (Wiesel 2012), and its gradient
+    vanishes exactly where the covariance ``M = sum w w^T / |w|`` of the
+    transformed atoms ``w = T^T v`` is a multiple of the identity (Petty's
+    isotropic position), so such a T is a global minimizer.  Tyler's update
+    ``T <- T M^{-1/2}``, rescaled to det T = 1, converges to it.
     """
+    if covariance_eigen_ratio(atoms) < COV_EIGEN_EPS:
+        raise AffineBVError("variation covariance is rank deficient: the "
+                            "infimum 0 over SL(n) is not attained")
     n = atoms.dim
-    basis = traceless_basis(n)
-    V = atoms.atoms
-    if len(V) == 0:
-        raise AffineBVError("empty atom set")
-
-    def F_params(p):
-        A = np.tensordot(p, basis, axes=1)
-        T = expm(A)
-        return float(np.sum(row_norms(V @ T)))
-
-    rng = np.random.default_rng(seed)
-    k = len(basis)
-    starts = [np.zeros(k)]
-    starts += [rng.normal(scale=0.4, size=k) for _ in range(n_restarts)]
-    best_p, best_f = np.zeros(k), F_params(np.zeros(k))
-    for p0 in starts:
-        res = scipy_minimize(F_params, p0, method="Nelder-Mead",
-                             options={"xatol": 1e-6, "fatol": 1e-10,
-                                      "maxiter": maxiter or 400 * k})
-        if res.fun < best_f:
-            best_f, best_p = float(res.fun), res.x
-    amap = AffineMap.from_generator(np.tensordot(best_p, basis, axes=1))
-    return amap, best_f
+    T = np.eye(n)
+    for _ in range(SLN_MAX_ITERS):
+        w = atoms.transformed(T)
+        lam, Q = np.linalg.eigh(covariance(w))
+        if lam[0] > (1 - ISOTROPY_TOL) * lam[-1]:
+            return T, total_variation(w), float(lam[0] / lam[-1])
+        # M^{-1/2} is SPD, so det T stays positive
+        T = T @ (Q * lam ** -0.5) @ Q.T
+        T /= np.linalg.det(T) ** (1.0 / n)
+    raise AffineBVError(f"SL(n) fixed point not isotropic after {SLN_MAX_ITERS} "
+                        f"iterations: lambda_min/lambda_max = {lam[0] / lam[-1]:.3e}")

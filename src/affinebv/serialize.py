@@ -1,4 +1,4 @@
-"""Field and atom I/O: the AFG1 binary format and CSV dumps.
+"""Field I/O: the AFG1 binary format.
 
 AFG1 layout (little endian): 8-byte magic ``AFGRID1\\0``, u32 dim,
 u32 per-axis cell counts, f64 spacing, f64 origin per axis, then the cell
@@ -43,17 +43,3 @@ def read_afg(path):
     spec = GridSpec(dim=dim, shape=shape, spacing=spacing, origin=origin)
     return GridFunction(spec, vals.copy())
 
-
-def write_field_csv(path, u):
-    """One line per cell: ``i,j[,k],value``."""
-    idx = np.indices(u.spec.shape).reshape(u.spec.dim, -1).T
-    with open(path, "w") as f:
-        for ix, v in zip(idx, u.values.ravel()):
-            f.write(",".join(str(i) for i in ix) + f",{float(v)!r}\n")
-
-
-def write_atoms_csv(path, atoms):
-    """Debug dump: ``vx,vy[,vz]`` per atom."""
-    with open(path, "w") as f:
-        for row in atoms.atoms:
-            f.write(",".join(repr(float(c)) for c in row) + "\n")

@@ -171,13 +171,9 @@ def atoms_from_trace(trace, dim, backend=FACE_ATOMS):
     return VariationAtoms(dim=dim, atoms=v, backend=backend, source="boundary")
 
 
-def total_variation(atoms, deterministic=False):
-    """Sum of atom masses.  Deterministic mode sums in sorted order so the
-    result is independent of the enumeration that produced the atoms."""
-    m = atoms.masses()
-    if deterministic:
-        m = np.sort(m)
-    return float(np.sum(m))
+def total_variation(atoms):
+    """Sum of atom masses."""
+    return float(np.sum(atoms.masses()))
 
 
 def directional_variation(atoms, xi):

@@ -1,10 +1,13 @@
 """Smoothed projected descent, gradient correctness, SL(n) search."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from affinebv import (
-    AffineMap,
     ConstraintSpec,
     GridFunction,
     GridSpec,
@@ -19,38 +22,17 @@ from affinebv import (
     sl_n_minimize_tv,
     total_variation,
 )
+import affinebv.minimize as minimize_module
 from affinebv.errors import AffineBVError
 from affinebv.minimize import (
     MinimizeConfig,
     SmoothedProblem,
     check_gradient,
-    traceless_basis,
 )
-from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
+from affinebv.variation import CELL_GRADIENT, FACE_ATOMS, covariance
+from affinebv.verify import square_domain
 
 from conftest import random_field
-
-
-class TestAffineMap:
-    def test_from_generator_det_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            A = rng.normal(size=(2, 2))
-            A -= np.trace(A) / 2 * np.eye(2)
-            T = AffineMap.from_generator(A)
-            assert abs(np.linalg.det(T.matrix) - 1.0) <= 1e-10
-
-    def test_trace_required(self):
-        with pytest.raises(AffineBVError):
-            AffineMap.from_generator(np.eye(2))
-
-    def test_traceless_basis_spans(self):
-        for n in (2, 3):
-            basis = traceless_basis(n)
-            assert len(basis) == n * n - 1
-            flat = basis.reshape(len(basis), -1)
-            assert np.linalg.matrix_rank(flat) == n * n - 1
-            assert np.allclose([np.trace(b) for b in basis], 0.0)
 
 
 class TestGradient:
@@ -207,16 +189,29 @@ class TestSLn:
         return compute_atoms(u, mask, backend=CELL_GRADIENT,
                              include_boundary=True)
 
+    def _gaussian3d_atoms(self, grid=48):
+        """exp(-(4x^2 + y^2 + z^2/4)) on a ball: principal axes 1:2:4."""
+        spec = GridSpec(dim=3, shape=(grid,) * 3, spacing=6.0 / grid,
+                        origin=(-3.0, -3.0, -3.0))
+        mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0, 0.0],
+                                "radius": 2.4})
+        c = spec.cell_centers()
+        vals = np.exp(-(4 * c[..., 0] ** 2 + c[..., 1] ** 2
+                        + c[..., 2] ** 2 / 4))
+        u = GridFunction(spec, np.where(mask.inside, vals, 0.0))
+        return compute_atoms(u, mask, backend=CELL_GRADIENT,
+                             include_boundary=True)
+
     def test_radial_bump_identity_optimal(self):
         atoms = self._bump_atoms()
-        _, f_best = sl_n_minimize_tv(atoms, n_restarts=4)
+        _, f_best, _ = sl_n_minimize_tv(atoms)
         f_id = total_variation(atoms)
         assert f_best >= f_id * (1 - 1e-3)
         assert f_best <= f_id
 
     def test_anisotropic_gaussian_improves(self):
         atoms = self._bump_atoms(stretch=4.0)
-        amap, f_best = sl_n_minimize_tv(atoms, n_restarts=4)
+        _, f_best, _ = sl_n_minimize_tv(atoms)
         f_id = total_variation(atoms)
         assert f_best < 0.9 * f_id
         # compare against a 1-D scan over diagonal balancing maps
@@ -235,9 +230,62 @@ class TestSLn:
         u = GridFunction(spec, mask.inside.astype(float))
         atoms = compute_atoms(u, mask, backend=FACE_ATOMS,
                               include_boundary=True)
-        _, f_best = sl_n_minimize_tv(atoms, n_restarts=2)
+        _, f_best, _ = sl_n_minimize_tv(atoms)
         assert constants(2).d0 * f_best <= 2 * np.pi * 1.01
         assert f_best == pytest.approx(2 * np.pi, rel=0.02)
+
+    @pytest.mark.parametrize("case", ["radial", "aniso", "gaussian3d"])
+    def test_isotropy_certificate(self, case):
+        atoms = (self._gaussian3d_atoms(24) if case == "gaussian3d" else
+                 self._bump_atoms(stretch=16.0 if case == "aniso" else None))
+        T, f_best, isotropy = sl_n_minimize_tv(atoms)
+        assert isinstance(T, np.ndarray)
+        w = atoms.transformed(T)
+        lam = np.linalg.eigvalsh(covariance(w))
+        assert lam[0] / lam[-1] >= 1 - 1e-12
+        assert isotropy >= 1 - 1e-13
+        assert abs(np.linalg.det(T) - 1.0) <= 1e-12
+        assert f_best == total_variation(w)
+        assert f_best <= total_variation(atoms)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sl_n_invariant(self, dim):
+        """The minimum over SL(n) does not see a det-1 map of the atoms."""
+        atoms = (self._bump_atoms(stretch=4.0) if dim == 2
+                 else self._gaussian3d_atoms(24))
+        _, f0, _ = sl_n_minimize_tv(atoms)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            A = rng.normal(size=(dim, dim))
+            A -= np.trace(A) / dim * np.eye(dim)
+            _, f1, _ = sl_n_minimize_tv(atoms.transformed(expm(A)))
+            assert f1 == pytest.approx(f0, rel=1e-12)
+
+    def test_3d_below_diagonal_scan(self):
+        atoms = self._gaussian3d_atoms(48)
+        _, f_best, _ = sl_n_minimize_tv(atoms)
+        x, y, z = (atoms.atoms[:, d] for d in range(3))
+        # the balancing map is diag(1/2, 1, 2)
+        scan = min(
+            float(np.sum(np.sqrt((a * x) ** 2 + (b * y) ** 2
+                                 + (z / (a * b)) ** 2)))
+            for a in np.geomspace(0.25, 1.0, 25)
+            for b in np.geomspace(0.5, 2.0, 25))
+        assert f_best <= scan
+
+    def test_single_direction_field_rejected(self):
+        """sin(pi x) varies in x only: the infimum 0 is not attained."""
+        spec, mask = square_domain(128)
+        x = spec.cell_centers()[..., 0]
+        u = GridFunction(spec, np.where(mask.inside, np.sin(np.pi * x), 0.0))
+        atoms = compute_atoms(u, mask, backend=CELL_GRADIENT)
+        with pytest.raises(AffineBVError, match="not attained"):
+            sl_n_minimize_tv(atoms)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(minimize_module, "SLN_MAX_ITERS", 2)
+        with pytest.raises(AffineBVError, match="not isotropic"):
+            sl_n_minimize_tv(self._bump_atoms(stretch=4.0))
 
     def test_empty_atoms_rejected(self):
         from affinebv.variation import VariationAtoms
@@ -246,3 +294,11 @@ class TestSLn:
                                backend=CELL_GRADIENT, source="interior")
         with pytest.raises(AffineBVError):
             sl_n_minimize_tv(empty)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import affinebv, sys; assert 'scipy.optimize' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

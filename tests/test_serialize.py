@@ -1,17 +1,11 @@
-"""Binary field format and CSV debug dumps."""
+"""Binary field format."""
 
 import numpy as np
 import pytest
 
 from affinebv import GridFunction, GridSpec
 from affinebv.errors import GridError
-from affinebv.serialize import (
-    read_afg,
-    write_afg,
-    write_atoms_csv,
-    write_field_csv,
-)
-from affinebv.variation import VariationAtoms
+from affinebv.serialize import read_afg, write_afg
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -49,23 +43,3 @@ def test_bad_magic_rejected(tmp_path):
     with pytest.raises(GridError):
         read_afg(path)
 
-
-def test_field_csv(tmp_path):
-    spec = GridSpec(dim=2, shape=(4, 4), spacing=1.0, origin=(0.0, 0.0))
-    vals = np.zeros(spec.shape)
-    vals[1, 2] = 3.5
-    path = tmp_path / "field.csv"
-    write_field_csv(path, GridFunction(spec, vals))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 16
-    assert "1,2,3.5" in lines
-
-
-def test_atoms_csv(tmp_path):
-    atoms = VariationAtoms(dim=2, atoms=np.array([[1.0, 2.0], [-0.5, 0.25]]),
-                           backend="face-atoms", source="interior")
-    path = tmp_path / "atoms.csv"
-    write_atoms_csv(path, atoms)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 2
-    assert rows[0].split(",")[0] == "1.0"
