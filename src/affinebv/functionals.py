@@ -131,12 +131,12 @@ def m_r_solve(u, mask, r, tol=1e-10, max_iter=200):
     for _ in range(max_iter):
         m = 0.5 * (lo + hi)
         g = _mr_residual(vals, m, r, h_n)
-        scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
-        # require both a small residual and a resolved bracket, so the
-        # returned location is accurate, not just the residual
-        if (abs(g) <= tol * max(scale, 1e-300)
-                and hi - lo <= 1e-13 * max(span, 1e-300)):
-            return m
+        # require both a resolved bracket and a small residual, so the
+        # returned location is accurate; only then is the scale needed
+        if hi - lo <= 1e-13 * max(span, 1e-300):
+            scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
+            if abs(g) <= tol * max(scale, 1e-300):
+                return m
         if g > 0:
             lo = m
         else:

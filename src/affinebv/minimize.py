@@ -7,6 +7,10 @@ the constraint set, and ``delta`` is halved on stagnation.  The reported
 level is always the nonsmooth functional re-evaluated at the final
 projected iterate.
 
+Each point costs one dense (atoms x half-directions) evaluation, formed in
+buffers the problem owns: the gradient reuses the product the accepted
+trial's value left there.  Each start reports why it stopped.
+
 The SL(n) search behind the Huang-Li normalization is the Petty-Tyler
 fixed point ``T <- T M^{-1/2}`` on the variation covariance M of the
 transformed atoms, stopped at isotropy.
@@ -112,6 +116,11 @@ class SmoothedProblem:
         self._face_areas = stencil.areas
         self.B = stencil.operator()
         self.BT = [b.T.tocsr() for b in self.B]
+        # dense products go here; _last = (x, delta, parts) while they hold
+        shape = (self.n_atoms, len(self.quad.directions))
+        self._D = np.empty(shape)
+        self._S = np.empty(shape)
+        self._last = None
 
     # -- variable <-> field ------------------------------------------------
     def to_vector(self, u):
@@ -131,8 +140,11 @@ class SmoothedProblem:
 
     # -- objective ---------------------------------------------------------
     def _energy_parts(self, V, delta):
-        D = V @ self.quad.directions.T
-        S = np.sqrt(D * D + (delta * self.atom_scale) ** 2)
+        D, S = self._D, self._S
+        np.matmul(V, self.quad.directions.T, out=D)
+        np.multiply(D, D, out=S)
+        S += (delta * self.atom_scale) ** 2
+        np.sqrt(S, out=S)
         psi = S.sum(axis=0)
         n = self.dim
         w = self.quad.weights
@@ -148,13 +160,23 @@ class SmoothedProblem:
         bval = float(np.sum(self._b * sb * self._face_areas))
         return sa, aval, sb, bval
 
+    def _parts(self, x, delta):
+        """Energy parts at (x, delta), None at a degenerate point; equal
+        arguments reuse the last evaluation's parts."""
+        last = self._last
+        if last is not None and last[1] == delta and np.array_equal(last[0], x):
+            return last[2]
+        V = self.atom_matrix(x)
+        parts = None if self._degenerate(V) else self._energy_parts(V, delta)
+        self._last = (x.copy(), delta, parts)
+        return parts
+
     def value(self, x, delta):
         _, aval, _, bval = self._weight_parts(x, delta)
-        V = self.atom_matrix(x)
-        if self._degenerate(V):
+        parts = self._parts(x, delta)
+        if parts is None:
             return aval + bval
-        _, _, _, _, energy = self._energy_parts(V, delta)
-        return energy + aval + bval
+        return parts[-1] + aval + bval
 
     def value_and_gradient(self, x, delta):
         """Smoothed objective and its analytic gradient.
@@ -167,14 +189,16 @@ class SmoothedProblem:
         grad += self._a * (x / sa) * self.cell_volume
         np.add.at(grad, self._face_var,
                   self._b * (x[self._face_var] / sb) * self._face_areas)
-        V = self.atom_matrix(x)
-        if self._degenerate(V):
+        parts = self._parts(x, delta)
+        if parts is None:
             return aval + bval, grad, True
-        D, S, psi, ssum, energy = self._energy_parts(V, delta)
+        D, S, psi, ssum, energy = parts
         n = self.dim
         coef = (self.consts.alpha * ssum ** (-1.0 / n - 1.0)
                 * self.quad.weights * psi ** (-float(n) - 1.0))
-        P = (D / S) @ (coef[:, None] * self.quad.directions)
+        # S becomes D/S in place, so the buffers stop holding this point
+        self._last = None
+        P = np.divide(D, S, out=S) @ (coef[:, None] * self.quad.directions)
         for d in range(self.dim):
             grad += self.BT[d] @ P[:, d]
         return energy + aval + bval, grad, False
@@ -275,9 +299,17 @@ def initial_guesses(mask, cspec, config, rng):
 
 # -- projected descent -------------------------------------------------------
 
+def _start_record(stop="max_iters"):
+    return {"stop": stop, "iterations": 0, "backtracks": 0,
+            "delta_halvings": 0, "unconverged_projections": 0}
+
+
 def _descend(prob, cspec, x0, config):
-    """One projected-descent start.  Returns (x, history, flags)."""
+    """One projected-descent start.  Returns (projection, history, record):
+    the stop reason, iterations, rejected trial steps, delta halvings, and
+    accepted or final projections that did not converge."""
     mask = prob.mask
+    rec = _start_record()
 
     def project(x):
         return project_constraint(prob.to_field(x), cspec, mask)
@@ -293,17 +325,18 @@ def _descend(prob, cspec, x0, config):
     f = prob.value(x, delta)
     history = [f]
     step = config.step_init
-    degenerate = False
 
     it = 0
     while it < config.max_iters:
         it += 1
+        # x was the last point evaluated, so the gradient reuses its product
         val, g, degen = prob.value_and_gradient(x, delta)
         if degen:
-            degenerate = True
+            rec["stop"] = "degenerate"
             break
         gn2 = float(g @ g)
         if gn2 == 0.0:
+            rec["stop"] = "zero_gradient"
             break
         st = step
         accepted = False
@@ -311,6 +344,7 @@ def _descend(prob, cspec, x0, config):
             try:
                 pres = project(x - st * g)
             except AffineBVError:
+                rec["backtracks"] += 1
                 st *= config.step_shrink
                 continue
             x_new = prob.to_vector(pres.u)
@@ -318,16 +352,20 @@ def _descend(prob, cspec, x0, config):
             if f_new <= val - config.sufficient_decrease * st * gn2:
                 accepted = True
                 break
+            rec["backtracks"] += 1
             st *= config.step_shrink
         if accepted:
+            rec["unconverged_projections"] += not pres.converged
             x, f = x_new, f_new
             step = st * 2.0
             history.append(f)
         else:
             # no decrease available at this smoothing level
             if delta <= config.delta_min:
+                rec["stop"] = "no_decrease_at_delta_min"
                 break
             delta = max(delta * 0.5, config.delta_min)
+            rec["delta_halvings"] += 1
             f = prob.value(x, delta)
             continue
         # anneal on stagnation; the history may jump once per decrease
@@ -336,14 +374,18 @@ def _descend(prob, cspec, x0, config):
                                  < config.stall_rel * abs(history[-w - 1])):
             if delta > config.delta_min:
                 delta = max(delta * 0.5, config.delta_min)
+                rec["delta_halvings"] += 1
                 f = prob.value(x, delta)
             else:
                 lw = config.level_window
                 if len(history) > lw and (history[-lw - 1] - history[-1]
                                           < config.level_rel * abs(history[-lw - 1])):
+                    rec["stop"] = "stall"
                     break
+    rec["iterations"] = it
     pres = project(x)
-    return pres, history, degenerate
+    rec["unconverged_projections"] += not pres.converged
+    return pres, history, rec
 
 
 def minimize_level(mask, weights, cspec, config=None, quadrature=None,
@@ -369,14 +411,17 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
 
     best = None
     histories = []
+    starts = []
     all_degenerate = True
     for u0 in guesses:
         try:
-            pres, history, degen = _descend(prob, cspec, prob.to_vector(u0), config)
+            pres, history, rec = _descend(prob, cspec, prob.to_vector(u0), config)
         except AffineBVError:
             histories.append([])
+            starts.append(_start_record("projection_failed"))
             continue
-        if degen:
+        starts.append(rec)
+        if rec["stop"] == "degenerate":
             histories.append(history)
             continue
         all_degenerate = False
@@ -391,7 +436,7 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
             level=float("nan"), extremal=GridFunction.zeros(mask.spec),
             norm_residual=float("nan"), orth_residual=float("nan"),
             histories=histories, critical_flag=False, degenerate=all_degenerate,
-            meta={"failed": True},
+            meta={"failed": True, "starts": starts},
         )
     level, pres = best
     return MinimizeResult(
@@ -409,6 +454,7 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
             "constraint": {"q": cspec.q, "kind": cspec.kind, "r": cspec.r,
                            "zero_trace": cspec.zero_trace},
             "critical_q": cspec.is_critical(mask.spec.dim),
+            "starts": starts,
         },
     )
 

@@ -186,6 +186,16 @@ class TestMinimize:
         u = read_afg(str(field))
         assert u.values.any()
 
+    def test_start_records_in_json(self, capsys, square_cfg):
+        code, out, _ = run_main(
+            capsys, "minimize", "--level", "cA", "--q", "1.0",
+            "--domain", square_cfg, "--grid", "32", "--dirs", "64",
+            "--max-iters", "20", "--starts", "2")
+        assert code == 0
+        starts = json.loads(out)["starts"]
+        assert [s["stop"] for s in starts] == ["max_iters"] * 2
+        assert all(s["iterations"] == 20 for s in starts)
+
     def test_bad_level_flag_exits_2(self, square_cfg):
         with pytest.raises(SystemExit) as exc:
             main(["minimize", "--level", "bogus", "--q", "1.0",

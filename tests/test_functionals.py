@@ -159,6 +159,40 @@ class TestMrSolve:
                                     spec.cell_volume) <= 0.0
 
 
+def _m_r_reference(u, mask, r, tol=1e-10, max_iter=200):
+    """The bisection that computed the scale at every step."""
+    from affinebv.functionals import _mr_residual
+
+    vals = u.values[mask.inside]
+    h_n = mask.spec.cell_volume
+    lo, hi = float(vals.min()), float(vals.max())
+    if lo == hi:
+        return lo
+    span = hi - lo
+    for _ in range(max_iter):
+        m = 0.5 * (lo + hi)
+        g = _mr_residual(vals, m, r, h_n)
+        scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
+        if (abs(g) <= tol * max(scale, 1e-300)
+                and hi - lo <= 1e-13 * max(span, 1e-300)):
+            return m
+        if g > 0:
+            lo = m
+        else:
+            hi = m
+    return 0.5 * (lo + hi)
+
+
+class TestMrSolveReference:
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.5])
+    def test_bitwise_equal_to_reference(self, disk64, r):
+        spec, mask = disk64
+        for seed in range(8):
+            u = random_field(spec, mask, seed=seed, smooth=seed % 3)
+            u = u.with_values(u.values * (1 + seed) + 0.3 * seed)
+            assert m_r_solve(u, mask, r) == _m_r_reference(u, mask, r)
+
+
 class TestTruncate:
     def test_exact_split(self):
         spec, mask = small_domain()

@@ -32,7 +32,7 @@ from affinebv.minimize import (
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS, covariance
 from affinebv.verify import square_domain
 
-from conftest import random_field
+from conftest import aligned_square, random_field
 
 
 class TestGradient:
@@ -156,6 +156,206 @@ class TestMinimizeLevel:
         res = self._run(mask, iters=50, starts=2)
         assert len(res.histories) == 2
         assert all(len(h) > 1 for h in res.histories)
+
+
+class ParentFormula(SmoothedProblem):
+    """The smoothed objective and gradient recomputed from scratch at every
+    call, with fresh temporaries: the reference the reusing evaluation must
+    match bit for bit."""
+
+    def value(self, x, delta):
+        _, aval, _, bval = self._weight_parts(x, delta)
+        V = self.atom_matrix(x)
+        if self._degenerate(V):
+            return aval + bval
+        return self._reference_parts(V, delta)[-1] + aval + bval
+
+    def value_and_gradient(self, x, delta):
+        sa, aval, sb, bval = self._weight_parts(x, delta)
+        grad = np.zeros_like(x)
+        grad += self._a * (x / sa) * self.cell_volume
+        np.add.at(grad, self._face_var,
+                  self._b * (x[self._face_var] / sb) * self._face_areas)
+        V = self.atom_matrix(x)
+        if self._degenerate(V):
+            return aval + bval, grad, True
+        D, S, psi, ssum, energy = self._reference_parts(V, delta)
+        n = self.dim
+        coef = (self.consts.alpha * ssum ** (-1.0 / n - 1.0)
+                * self.quad.weights * psi ** (-float(n) - 1.0))
+        P = (D / S) @ (coef[:, None] * self.quad.directions)
+        for d in range(self.dim):
+            grad += self.BT[d] @ P[:, d]
+        return energy + aval + bval, grad, False
+
+    def _reference_parts(self, V, delta):
+        D = V @ self.quad.directions.T
+        S = np.sqrt(D * D + (delta * self.atom_scale) ** 2)
+        psi = S.sum(axis=0)
+        n = self.dim
+        ssum = float(np.dot(self.quad.weights, psi ** (-float(n))))
+        energy = self.consts.alpha * ssum ** (-1.0 / n)
+        return D, S, psi, ssum, energy
+
+
+def _ball_domain(dim, grid):
+    spec = GridSpec(dim=dim, shape=(grid,) * dim, spacing=2.6 / grid,
+                    origin=(-1.3,) * dim)
+    return spec, make_mask(spec, {"shape": "ball", "center": [0.0] * dim,
+                                  "radius": 1.0})
+
+
+def _same(got, want):
+    """Bitwise equality of (value, gradient, degenerate) triples."""
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestEvaluationReuse:
+    """A SmoothedProblem evaluates each point once; a reused evaluation is
+    bitwise the fresh one, and nothing stale is ever reused."""
+
+    DELTA = 1e-2
+
+    def _setup(self, dim=2, backend=CELL_GRADIENT):
+        spec, mask = _ball_domain(dim, 24 if dim == 2 else 20)
+        quad = make_quadrature(dim, 64)
+
+        def make():
+            return SmoothedProblem(mask, Weights(a=0.7, b=0.4), quad,
+                                   backend=backend)
+
+        u = random_field(spec, mask, seed=5 + dim, smooth=1)
+        return make, make().to_vector(u)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("backend", [CELL_GRADIENT, FACE_ATOMS])
+    def test_gradient_after_value_is_fresh(self, dim, backend):
+        make, x = self._setup(dim, backend)
+        prob = make()
+        val = prob.value(x, self.DELTA)
+        got = prob.value_and_gradient(x, self.DELTA)
+        assert val == make().value(x, self.DELTA)
+        _same(got, make().value_and_gradient(x, self.DELTA))
+        _same(got, ParentFormula(prob.mask, Weights(a=0.7, b=0.4),
+                                 make_quadrature(dim, 64),
+                                 backend=backend).value_and_gradient(x, self.DELTA))
+        assert not got[2]
+
+    def test_delta_changed(self):
+        make, x = self._setup()
+        prob = make()
+        prob.value(x, self.DELTA)
+        _same(prob.value_and_gradient(x, self.DELTA / 2),
+              make().value_and_gradient(x, self.DELTA / 2))
+
+    def test_other_point_in_between(self):
+        make, x = self._setup()
+        prob = make()
+        prob.value(x, self.DELTA)
+        prob.value(1.5 * x, self.DELTA)
+        _same(prob.value_and_gradient(x, self.DELTA),
+              make().value_and_gradient(x, self.DELTA))
+
+    def test_mutated_in_place(self):
+        make, x = self._setup()
+        prob = make()
+        prob.value(x, self.DELTA)
+        x[::7] += 0.25
+        _same(prob.value_and_gradient(x, self.DELTA),
+              make().value_and_gradient(x.copy(), self.DELTA))
+
+    def test_gradient_twice(self):
+        make, x = self._setup()
+        prob = make()
+        first = prob.value_and_gradient(x, self.DELTA)
+        second = prob.value_and_gradient(x, self.DELTA)
+        _same(first, second)
+        _same(second, make().value_and_gradient(x, self.DELTA))
+        assert prob.value(x, self.DELTA) == first[0]
+
+    def test_degenerate_then_regular(self):
+        make, x = self._setup()
+        prob = make()
+        zero = np.zeros_like(x)
+        prob.value(zero, self.DELTA)
+        assert prob.value_and_gradient(zero, self.DELTA)[2]
+        prob.value(zero, self.DELTA)
+        _same(prob.value_and_gradient(x, self.DELTA),
+              make().value_and_gradient(x, self.DELTA))
+
+    def test_one_dense_product_per_value(self, monkeypatch):
+        calls = {"_energy_parts": 0, "value": 0, "value_and_gradient": 0}
+        for name in calls:
+            orig = getattr(SmoothedProblem, name)
+
+            def counted(self, *args, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(SmoothedProblem, name, counted)
+        _, mask = aligned_square(48)
+        minimize_level(mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
+                       config=MinimizeConfig(seed=0, max_iters=60, n_starts=2),
+                       quadrature=make_quadrature(2, 256))
+        assert calls["value_and_gradient"] > 0
+        assert calls["_energy_parts"] == calls["value"]
+
+    @pytest.mark.parametrize("domain,cspec,stall_window", [
+        ("square", ConstraintSpec(q=1.0, kind="X"), 50),
+        ("disk", ConstraintSpec(q=1.5, kind="Y", r=2.0), 50),
+        # a short stall window makes the descent halve delta
+        ("square", ConstraintSpec(q=1.0, kind="X"), 5),
+    ])
+    def test_minimize_matches_parent_formula(self, monkeypatch, domain, cspec,
+                                             stall_window):
+        mask = aligned_square(48)[1] if domain == "square" else _ball_domain(2, 48)[1]
+        config = MinimizeConfig(seed=0, max_iters=60, n_starts=2,
+                                stall_window=stall_window, stall_rel=1e-2)
+
+        def run():
+            return minimize_level(mask, Weights(0.0, 0.0), cspec, config=config,
+                                  quadrature=make_quadrature(2, 256))
+
+        got = run()
+        monkeypatch.setattr(minimize_module, "SmoothedProblem", ParentFormula)
+        want = run()
+        assert got.level == want.level
+        assert np.array_equal(got.extremal.values, want.extremal.values)
+        assert got.histories == want.histories
+        if stall_window == 5:
+            assert all(s["delta_halvings"] > 0 for s in got.meta["starts"])
+
+
+class TestStartRecords:
+    def _run(self, mask, extra=()):
+        return minimize_level(
+            mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
+            config=MinimizeConfig(seed=0, max_iters=60, n_starts=2),
+            quadrature=make_quadrature(2, 256), extra_starts=extra)
+
+    def test_iteration_cap_reported(self):
+        spec, mask = aligned_square(48)
+        res = self._run(mask, extra=(GridFunction.zeros(spec),))
+        starts = res.meta["starts"]
+        assert [s["stop"] for s in starts] == ["max_iters", "max_iters",
+                                               "projection_failed"]
+        for s, h in zip(starts[:2], res.histories):
+            assert s["iterations"] == 60
+            # history: start, accepted steps, final nonsmooth level
+            assert s["backtracks"] + len(h) - 2 >= 60
+            assert s["unconverged_projections"] == 0
+        assert starts[2]["iterations"] == 0
+        assert res.as_dict()["starts"] == starts
+
+    def test_degenerate_start_reported(self, monkeypatch):
+        monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, V: True)
+        _, mask = aligned_square(48)
+        res = self._run(mask)
+        assert res.degenerate and res.meta["failed"]
+        assert [s["stop"] for s in res.meta["starts"]] == ["degenerate"] * 2
+        assert all(s["iterations"] == 1 for s in res.meta["starts"])
 
 
 class TestCriticalThreshold:
