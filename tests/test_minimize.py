@@ -222,9 +222,8 @@ class TestEvaluationReuse:
         spec, mask = _ball_domain(dim, 24 if dim == 2 else 20)
         quad = make_quadrature(dim, 64)
 
-        def make():
-            return SmoothedProblem(mask, Weights(a=0.7, b=0.4), quad,
-                                   backend=backend)
+        def make(cls=SmoothedProblem):
+            return cls(mask, Weights(a=0.7, b=0.4), quad, backend=backend)
 
         u = random_field(spec, mask, seed=5 + dim, smooth=1)
         return make, make().to_vector(u)
@@ -238,9 +237,7 @@ class TestEvaluationReuse:
         got = prob.value_and_gradient(x, self.DELTA)
         assert val == make().value(x, self.DELTA)
         _same(got, make().value_and_gradient(x, self.DELTA))
-        _same(got, ParentFormula(prob.mask, Weights(a=0.7, b=0.4),
-                                 make_quadrature(dim, 64),
-                                 backend=backend).value_and_gradient(x, self.DELTA))
+        _same(got, make(ParentFormula).value_and_gradient(x, self.DELTA))
         assert not got[2]
 
     def test_delta_changed(self):
