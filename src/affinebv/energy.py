@@ -12,6 +12,7 @@ independently of the quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,8 +64,10 @@ class EnergyConstants:
         }
 
 
+@functools.cache
 def constants(n):
-    """Evaluate all closed-form constants for dimension ``n >= 2``."""
+    """Evaluate all closed-form constants for dimension ``n >= 2`` (cached:
+    every layer derives them from its grid or quadrature dimension)."""
     if n < 2:
         raise AffineBVError(f"dimension must be >= 2, got {n}")
     omegas = tuple(unit_ball_volume(k) for k in range(1, n + 1))
@@ -138,7 +141,6 @@ class EnergyBreakdown:
     value: float
     psi: np.ndarray            # one per evaluated direction
     degenerate: bool
-    cov_eigvals: np.ndarray | None = None
     backend: str = ""
     quadrature_size: int = 0
     meta: dict = field(default_factory=dict)
@@ -163,67 +165,52 @@ class EnergyBreakdown:
         }
 
 
-def energy_from_psi(psi, quadrature, consts, eps_deg=DEGENERACY_EPS):
+def energy_from_psi(psi, quadrature):
     """Assemble the energy from per-direction variation samples."""
     psi = np.asarray(psi, dtype=float)
     if np.any(psi < 0):
         raise AffineBVError("negative directional-variation sample")
     pmax = psi.max(initial=0.0)
-    if pmax == 0.0 or psi.min() <= max(eps_deg * pmax, PSI_CLAMP):
+    if pmax == 0.0 or psi.min() <= max(DEGENERACY_EPS * pmax, PSI_CLAMP):
         return EnergyBreakdown(value=0.0, psi=psi, degenerate=True,
                                quadrature_size=quadrature.size)
-    n = consts.dim
+    n = quadrature.dim
     # exp/log form keeps psi^(-n) finite-range for tiny psi in 3D
     log_psi = np.log(psi)
     s = quadrature.integrate(np.exp(-n * log_psi))
-    value = consts.alpha * s ** (-1.0 / n)
+    value = constants(n).alpha * s ** (-1.0 / n)
     return EnergyBreakdown(value=float(value), psi=psi, degenerate=False,
                            quadrature_size=quadrature.size)
 
 
-def _energy_of_atoms(atoms, quadrature, consts, backend, meta=None):
+def energy_of_atoms(atoms, quadrature):
+    """Energy of an atom set; the breakdown carries the atoms' backend,
+    source and total variation."""
     eig = covariance_eigen_ratio(atoms)
     half = quadrature.half
     psi = psi_samples(atoms, half.directions)
-    out = energy_from_psi(psi, half, consts)
+    out = energy_from_psi(psi, half)
     out.quadrature_size = quadrature.size
     if eig < COV_EIGEN_EPS:
         # rank test is primary: force the vanishing value
         out.value = 0.0
         out.degenerate = True
-    out.cov_eigvals = np.array([eig])
-    out.backend = backend
-    out.meta = meta or {}
+    out.backend = atoms.backend
+    out.meta = {"source": atoms.source, "tv": total_variation(atoms)}
     return out
 
 
-def affine_energy_interior(u, mask, backend, quadrature, consts=None):
+def affine_energy_interior(u, mask, backend, quadrature):
     """E_Omega(u): interior atoms only."""
-    consts = consts or constants(mask.spec.dim)
-    atoms = compute_atoms(u, mask, backend=backend, include_boundary=False)
-    return _energy_of_atoms(atoms, quadrature, consts, backend,
-                            meta={"source": "interior", "tv": total_variation(atoms)})
+    return energy_of_atoms(compute_atoms(u, mask, backend=backend), quadrature)
 
 
-def affine_energy_boundary(trace, quadrature, consts=None):
+def affine_energy_boundary(trace, quadrature):
     """E_dOmega(u-tilde): boundary atoms only."""
-    consts = consts or constants(quadrature.dim)
-    atoms = atoms_from_trace(trace, quadrature.dim)
-    return _energy_of_atoms(atoms, quadrature, consts, "trace",
-                            meta={"source": "boundary", "tv": total_variation(atoms)})
+    return energy_of_atoms(atoms_from_trace(trace, quadrature.dim), quadrature)
 
 
-def affine_energy_extended(u, mask, backend, quadrature, consts=None,
-                           boundary_mode=None):
+def affine_energy_extended(u, mask, backend, quadrature):
     """E_Rn(u-bar): interior plus boundary atoms of the zero extension."""
-    consts = consts or constants(mask.spec.dim)
-    atoms = compute_atoms(u, mask, backend=backend, include_boundary=True,
-                          boundary_mode=boundary_mode)
-    return _energy_of_atoms(atoms, quadrature, consts, backend,
-                            meta={"source": "extended", "tv": total_variation(atoms)})
-
-
-def energy_of_atoms(atoms, quadrature, consts):
-    """Energy of a raw atom set (used by verification and the SL(n) search)."""
-    return _energy_of_atoms(atoms, quadrature, consts, atoms.backend,
-                            meta={"source": atoms.source})
+    atoms = compute_atoms(u, mask, backend=backend, include_boundary=True)
+    return energy_of_atoms(atoms, quadrature)

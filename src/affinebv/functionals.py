@@ -16,10 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import affine_energy_extended, constants
+from .energy import affine_energy_extended
 from .errors import AffineBVError, ConfigError, GridError
-from .grid import GridFunction, extract_trace, lq_norm
+from .grid import GridFunction, extract_trace, lq_norm, zero_extend
 from .variation import CELL_GRADIENT, compute_atoms, total_variation
+
+# m_r bisection: relative residual accepted once the bracket is resolved
+MR_TOL = 1e-10
+MR_MAX_ITER = 200
+# Y projection: both residuals below this, within this many rounds
+PROJECTION_TOL = 1e-8
+PROJECTION_MAX_ROUNDS = 100
 
 
 @dataclass
@@ -44,8 +51,8 @@ class Weights:
         vals = np.abs(u.values[mask.inside])
         return float(np.sum(np.asarray(self.a) * vals) * mask.spec.cell_volume)
 
-    def boundary_term(self, u, mask, mode=None):
-        tr = extract_trace(u, mask, mode=mode)
+    def boundary_term(self, u, mask):
+        tr = extract_trace(u, mask)
         return float(np.sum(np.asarray(self.b) * np.abs(tr.values) * tr.areas))
 
 
@@ -86,23 +93,20 @@ def truncate(u, h):
                           remainder=u.with_values(u.values - t))
 
 
-def phi_classical(u, mask, weights, backend=CELL_GRADIENT, boundary_mode=None):
+def phi_classical(u, mask, weights, backend=CELL_GRADIENT):
     """|Du|(Omega) + int a|u| + int b|u-tilde|."""
     atoms = compute_atoms(u, mask, backend=backend, include_boundary=False)
     return (total_variation(atoms)
             + weights.bulk_term(u, mask)
-            + weights.boundary_term(u, mask, mode=boundary_mode))
+            + weights.boundary_term(u, mask))
 
 
-def phi_affine(u, mask, weights, quadrature, backend=CELL_GRADIENT,
-               boundary_mode=None, consts=None):
+def phi_affine(u, mask, weights, quadrature, backend=CELL_GRADIENT):
     """Affine energy of the zero extension plus the weight terms."""
-    consts = consts or constants(mask.spec.dim)
-    e = affine_energy_extended(u, mask, backend, quadrature, consts=consts,
-                               boundary_mode=boundary_mode)
+    e = affine_energy_extended(u, mask, backend, quadrature)
     return (e.value
             + weights.bulk_term(u, mask)
-            + weights.boundary_term(u, mask, mode=boundary_mode))
+            + weights.boundary_term(u, mask))
 
 
 def _mr_residual(vals, m, r, cell_volume):
@@ -110,7 +114,7 @@ def _mr_residual(vals, m, r, cell_volume):
     return float(np.sum(np.abs(d) ** (r - 1.0) * d) * cell_volume)
 
 
-def m_r_solve(u, mask, r, tol=1e-10, max_iter=200):
+def m_r_solve(u, mask, r):
     """The unique m with ``sum |u - m|^(r-1) (u - m) h^n = 0``.
 
     The residual is strictly decreasing in m, so bisection on
@@ -128,14 +132,14 @@ def m_r_solve(u, mask, r, tol=1e-10, max_iter=200):
     if lo == hi:
         return lo
     span = hi - lo
-    for _ in range(max_iter):
+    for _ in range(MR_MAX_ITER):
         m = 0.5 * (lo + hi)
         g = _mr_residual(vals, m, r, h_n)
         # require both a resolved bracket and a small residual, so the
         # returned location is accurate; only then is the scale needed
         if hi - lo <= 1e-13 * max(span, 1e-300):
             scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
-            if abs(g) <= tol * max(scale, 1e-300):
+            if abs(g) <= MR_TOL * max(scale, 1e-300):
                 return m
         if g > 0:
             lo = m
@@ -165,14 +169,14 @@ class ProjectionResult:
     rounds: int
 
 
-def project_constraint(u, spec, mask, tol=1e-8, max_rounds=100):
+def project_constraint(u, spec, mask):
     """Restore membership in X or Y (and the zero-trace variants).
 
     X: scale to unit L^q norm.  Y: alternate subtracting the m_r shift and
-    renormalizing until both residuals fall below ``tol``; non-convergence
-    is flagged, never silent.
+    renormalizing until both residuals fall below ``PROJECTION_TOL``;
+    non-convergence is flagged, never silent.
     """
-    v = u.with_values(np.where(mask.inside, u.values, 0.0))
+    v = zero_extend(u, mask)
     if spec.zero_trace:
         v = clamp_rim(v, mask)
     norm = lq_norm(v, mask, spec.q)
@@ -182,11 +186,11 @@ def project_constraint(u, spec, mask, tol=1e-8, max_rounds=100):
         v = v.with_values(v.values / norm)
         return ProjectionResult(v, True, abs(lq_norm(v, mask, spec.q) - 1.0),
                                 0.0, 0)
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, PROJECTION_MAX_ROUNDS + 1):
         s = m_r_solve(v, mask, spec.r)
         v = v.with_values(np.where(mask.inside, v.values - s, 0.0))
         if spec.zero_trace:
-            v = v.with_values(np.where(rim_cells(mask), 0.0, v.values))
+            v = clamp_rim(v, mask)
         norm = lq_norm(v, mask, spec.q)
         if norm == 0.0:
             raise AffineBVError("field collapsed to zero during Y projection")
@@ -194,6 +198,6 @@ def project_constraint(u, spec, mask, tol=1e-8, max_rounds=100):
         orth = abs(m_r_solve(v, mask, spec.r))
         nrm = abs(lq_norm(v, mask, spec.q) - 1.0)
         scale = max(float(np.max(np.abs(v.values))), 1e-300)
-        if orth <= tol * scale and nrm <= tol:
+        if orth <= PROJECTION_TOL * scale and nrm <= PROJECTION_TOL:
             return ProjectionResult(v, True, nrm, orth, rounds)
-    return ProjectionResult(v, False, nrm, orth, max_rounds)
+    return ProjectionResult(v, False, nrm, orth, PROJECTION_MAX_ROUNDS)

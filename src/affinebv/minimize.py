@@ -11,6 +11,15 @@ Each point costs one dense (atoms x half-directions) evaluation, formed in
 buffers the problem owns: the gradient reuses the product the accepted
 trial's value left there.  Each start reports why it stopped.
 
+The solver tuning has one value in use, so it is module constants, read
+at call time, not config fields: the first trial step ``STEP_INIT``, its
+factor ``STEP_SHRINK`` over at most ``MAX_BACKTRACKS`` trials, the Armijo
+constant ``SUFFICIENT_DECREASE``; the initial smoothing ``DELTA0_FRAC`` of
+the starting variation per atom, floored at ``DELTA_MIN``; delta halves
+when ``STALL_WINDOW`` accepted steps gain less than ``STALL_REL``
+relative, and a start at ``DELTA_MIN`` stops when ``LEVEL_WINDOW`` steps
+gain less than ``LEVEL_REL``.
+
 The SL(n) search behind the Huang-Li normalization is the Petty-Tyler
 fixed point ``T <- T M^{-1/2}`` on the variation covariance M of the
 transformed atoms, stopped at isotropy.
@@ -23,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import COV_EIGEN_EPS, constants
-from .errors import AffineBVError
+from .errors import AffineBVError, ConfigError
 from .functionals import phi_affine, project_constraint
-from .grid import GridFunction, mollify, parse_shape, row_norms
+from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
     CELL_GRADIENT,
     AtomStencil,
@@ -36,28 +45,29 @@ from .variation import (
 )
 
 
+STEP_INIT = 1.0
+STEP_SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_BACKTRACKS = 40
+DELTA0_FRAC = 0.1
+DELTA_MIN = 1e-6
+STALL_WINDOW = 50
+STALL_REL = 1e-6
+LEVEL_WINDOW = 100
+LEVEL_REL = 1e-6
+
+
 @dataclass
 class MinimizeConfig:
     max_iters: int = 500
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 40
-    delta0_frac: float = 0.1
-    delta_min: float = 1e-6
-    stall_window: int = 50
-    stall_rel: float = 1e-6
-    level_window: int = 100
-    level_rel: float = 1e-6
     n_starts: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.step_shrink < 1):
-            raise AffineBVError("step_shrink must be in (0, 1)")
-        for name in ("delta_min", "stall_rel", "level_rel", "sufficient_decrease"):
-            if getattr(self, name) <= 0:
-                raise AffineBVError(f"{name} must be > 0")
+        if self.n_starts < 1:
+            raise ConfigError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.max_iters < 0:
+            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass
@@ -93,12 +103,12 @@ class SmoothedProblem:
     """
 
     def __init__(self, mask, weights, quadrature, backend=CELL_GRADIENT,
-                 consts=None, boundary_mode=None):
+                 boundary_mode=None):
         self.mask = mask
         self._a = np.asarray(weights.a)
         self._b = np.asarray(weights.b)
         self.backend = backend
-        self.consts = consts or constants(mask.spec.dim)
+        self.consts = constants(mask.spec.dim)
         self.quad = quadrature.half
         spec = mask.spec
         self.dim = spec.dim
@@ -204,14 +214,15 @@ class SmoothedProblem:
         return energy + aval + bval, grad, False
 
 
-def check_gradient(prob, x, delta, n_coords=20, rng=None, fd_step=None):
+def check_gradient(prob, x, delta, n_coords=20, rng=None):
     """Central-difference check of the analytic gradient on random
-    coordinates; returns the worst (abs_error, tolerance) pair."""
+    coordinates, step ``1e-6 max(1, max|x|)``; returns the worst
+    (abs_error, tolerance) pair."""
     rng = rng or np.random.default_rng(0)
     _, g, _ = prob.value_and_gradient(x, delta)
     gn = float(np.linalg.norm(g))
     tol = max(1e-5, 1e-4 * gn)
-    eps = fd_step or 1e-6 * max(1.0, float(np.max(np.abs(x))))
+    eps = 1e-6 * max(1.0, float(np.max(np.abs(x))))
     coords = rng.choice(prob.n_var, size=min(n_coords, prob.n_var), replace=False)
     worst = 0.0
     for c in coords:
@@ -251,10 +262,8 @@ def _inradius(mask, c):
 
 
 def _random_bump_field(mask, rng, sigma_cells=3.0):
-    spec = mask.spec
-    noise = rng.normal(size=spec.shape)
-    u = mollify(GridFunction(spec, noise), sigma_cells * spec.spacing)
-    return u.with_values(np.where(mask.inside, u.values, 0.0))
+    noise = GridFunction(mask.spec, rng.normal(size=mask.spec.shape))
+    return zero_extend(mollify(noise, sigma_cells * mask.spec.spacing), mask)
 
 
 def _two_bump_field(mask, rng, sigma_cells=2.0):
@@ -275,10 +284,8 @@ def _two_bump_field(mask, rng, sigma_cells=2.0):
 
 
 def _domain_indicator_field(mask, sigma_cells=1.5):
-    spec = mask.spec
-    u = GridFunction(spec, mask.inside.astype(float))
-    u = mollify(u, sigma_cells * spec.spacing)
-    return u.with_values(np.where(mask.inside, u.values, 0.0))
+    u = GridFunction(mask.spec, mask.inside.astype(float))
+    return zero_extend(mollify(u, sigma_cells * mask.spec.spacing), mask)
 
 
 def initial_guesses(mask, cspec, config, rng):
@@ -304,7 +311,14 @@ def _start_record(stop="max_iters"):
             "delta_halvings": 0, "unconverged_projections": 0}
 
 
-def _descend(prob, cspec, x0, config):
+def _stalled(history, window, rel):
+    """The last ``window`` accepted steps lowered the level by less than
+    ``rel`` relative."""
+    return (len(history) > window
+            and history[-window - 1] - history[-1] < rel * abs(history[-window - 1]))
+
+
+def _descend(prob, cspec, x0, max_iters):
     """One projected-descent start.  Returns (projection, history, record):
     the stop reason, iterations, rejected trial steps, delta halvings, and
     accepted or final projections that did not converge."""
@@ -321,13 +335,12 @@ def _descend(prob, cspec, x0, config):
     tv0 = float(row_norms(prob.atom_matrix(x)).sum())
     floor = max(prob.n_atoms * prob.atom_scale, 1e-300)
     data_range = float(np.max(x) - np.min(x)) or 1.0
-    delta = config.delta0_frac * max(tv0, 1e-12 * data_range) / floor
-    f = prob.value(x, delta)
-    history = [f]
-    step = config.step_init
+    delta = DELTA0_FRAC * max(tv0, 1e-12 * data_range) / floor
+    history = [prob.value(x, delta)]
+    step = STEP_INIT
 
     it = 0
-    while it < config.max_iters:
+    while it < max_iters:
         it += 1
         # x was the last point evaluated, so the gradient reuses its product
         val, g, degen = prob.value_and_gradient(x, delta)
@@ -340,48 +353,40 @@ def _descend(prob, cspec, x0, config):
             break
         st = step
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             try:
                 pres = project(x - st * g)
             except AffineBVError:
                 rec["backtracks"] += 1
-                st *= config.step_shrink
+                st *= STEP_SHRINK
                 continue
             x_new = prob.to_vector(pres.u)
             f_new = prob.value(x_new, delta)
-            if f_new <= val - config.sufficient_decrease * st * gn2:
+            if f_new <= val - SUFFICIENT_DECREASE * st * gn2:
                 accepted = True
                 break
             rec["backtracks"] += 1
-            st *= config.step_shrink
+            st *= STEP_SHRINK
         if accepted:
             rec["unconverged_projections"] += not pres.converged
-            x, f = x_new, f_new
+            x = x_new
             step = st * 2.0
-            history.append(f)
-        else:
-            # no decrease available at this smoothing level
-            if delta <= config.delta_min:
-                rec["stop"] = "no_decrease_at_delta_min"
-                break
-            delta = max(delta * 0.5, config.delta_min)
-            rec["delta_halvings"] += 1
-            f = prob.value(x, delta)
-            continue
-        # anneal on stagnation; the history may jump once per decrease
-        w = config.stall_window
-        if len(history) > w and (history[-w - 1] - history[-1]
-                                 < config.stall_rel * abs(history[-w - 1])):
-            if delta > config.delta_min:
-                delta = max(delta * 0.5, config.delta_min)
-                rec["delta_halvings"] += 1
-                f = prob.value(x, delta)
-            else:
-                lw = config.level_window
-                if len(history) > lw and (history[-lw - 1] - history[-1]
-                                          < config.level_rel * abs(history[-lw - 1])):
+            history.append(f_new)
+            # anneal on stagnation; the history may jump once per decrease
+            if not _stalled(history, STALL_WINDOW, STALL_REL):
+                continue
+            if delta <= DELTA_MIN:
+                if _stalled(history, LEVEL_WINDOW, LEVEL_REL):
                     rec["stop"] = "stall"
                     break
+                continue
+        elif delta <= DELTA_MIN:
+            # no decrease available at this smoothing level
+            rec["stop"] = "no_decrease_at_delta_min"
+            break
+        delta = max(delta * 0.5, DELTA_MIN)
+        rec["delta_halvings"] += 1
+        prob.value(x, delta)   # x is again the last point evaluated
     rec["iterations"] = it
     pres = project(x)
     rec["unconverged_projections"] += not pres.converged
@@ -389,21 +394,19 @@ def _descend(prob, cspec, x0, config):
 
 
 def minimize_level(mask, weights, cspec, config=None, quadrature=None,
-                   backend=CELL_GRADIENT, consts=None, boundary_mode=None,
-                   extra_starts=()):
+                   backend=CELL_GRADIENT, extra_starts=()):
     """Best level over multistart smoothed projected descent.
 
     The result's ``level`` is the nonsmooth affine functional at the final
     projected extremal; ``critical_flag`` reports the existence-threshold
-    test ``0 < level < n omega_n^(1/n)``.
+    test ``0 < level < n omega_n^(1/n)``.  ``degenerate`` holds when every
+    start stopped at a degenerate point.
     """
     from .energy import make_quadrature
 
     config = config or MinimizeConfig()
-    consts = consts or constants(mask.spec.dim)
     quadrature = quadrature or make_quadrature(mask.spec.dim, 256)
-    prob = SmoothedProblem(mask, weights, quadrature, backend=backend,
-                           consts=consts, boundary_mode=boundary_mode)
+    prob = SmoothedProblem(mask, weights, quadrature, backend=backend)
     rng = np.random.default_rng(config.seed)
     guesses = initial_guesses(mask, cspec, config, rng)
     for extra in extra_starts:
@@ -412,10 +415,10 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
     best = None
     histories = []
     starts = []
-    all_degenerate = True
     for u0 in guesses:
         try:
-            pres, history, rec = _descend(prob, cspec, prob.to_vector(u0), config)
+            pres, history, rec = _descend(prob, cspec, prob.to_vector(u0),
+                                          config.max_iters)
         except AffineBVError:
             histories.append([])
             starts.append(_start_record("projection_failed"))
@@ -424,18 +427,16 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
         if rec["stop"] == "degenerate":
             histories.append(history)
             continue
-        all_degenerate = False
-        level = phi_affine(pres.u, mask, weights, quadrature,
-                           backend=backend, boundary_mode=boundary_mode,
-                           consts=consts)
+        level = phi_affine(pres.u, mask, weights, quadrature, backend=backend)
         histories.append(history + [level])
         if best is None or level < best[0]:
             best = (level, pres)
+    degenerate = bool(starts) and all(s["stop"] == "degenerate" for s in starts)
     if best is None:
         return MinimizeResult(
             level=float("nan"), extremal=GridFunction.zeros(mask.spec),
             norm_residual=float("nan"), orth_residual=float("nan"),
-            histories=histories, critical_flag=False, degenerate=all_degenerate,
+            histories=histories, critical_flag=False, degenerate=degenerate,
             meta={"failed": True, "starts": starts},
         )
     level, pres = best
@@ -445,8 +446,8 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
         norm_residual=pres.norm_residual,
         orth_residual=pres.orth_residual,
         histories=histories,
-        critical_flag=bool(0.0 < level < consts.sharp_sobolev),
-        degenerate=False,
+        critical_flag=check_critical_threshold(level, prob.consts)["critical_flag"],
+        degenerate=degenerate,
         meta={
             "backend": backend,
             "grid": list(mask.spec.shape),

@@ -118,18 +118,18 @@ def psi_body(body, xi):
     return psi_ellipsoid(body, xi)
 
 
-def energy_body(body, consts=None, quadrature=None):
-    """Affine energy of the body's indicator from oracle Psi samples.
+def energy_body(body):
+    """Affine energy of the body's indicator from oracle Psi samples over
+    4096 (2D) or 8192 (3D) directions.
 
     For ellipsoids the value is gated against the closed form
     ``n omega_n^(1/n) (omega_n |det A|)^((n-1)/n)`` at 1e-4 relative.
     """
     dim = body.dim
-    consts = consts or constants(dim)
-    if quadrature is None:
-        quadrature = make_quadrature(dim, 4096 if dim == 2 else 8192)
+    consts = constants(dim)
+    quadrature = make_quadrature(dim, 4096 if dim == 2 else 8192)
     psi = np.array([psi_body(body, xi) for xi in quadrature.directions])
-    out = energy_from_psi(psi, quadrature, consts)
+    out = energy_from_psi(psi, quadrature)
     if isinstance(body, EllipsoidBody):
         vol = consts.omega_n * abs(np.linalg.det(body.matrix))
         exact = consts.sharp_sobolev * vol ** ((dim - 1.0) / dim)

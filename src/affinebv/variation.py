@@ -28,6 +28,8 @@ CELL_GRADIENT = "cell-gradient"
 
 # below this mass an atom has no well-defined direction and is dropped
 ATOM_ELISION = 1e-30
+# atoms per dense 3D Psi block, bounding the working set
+PSI_CHUNK = 16384
 
 
 @dataclass
@@ -165,10 +167,10 @@ def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False,
                           source="extended" if include_boundary else "interior")
 
 
-def atoms_from_trace(trace, dim, backend=FACE_ATOMS):
+def atoms_from_trace(trace, dim):
     """Boundary atoms built directly from :class:`TraceData`."""
     v = _boundary_rows(trace.values, trace.normals, trace.areas)
-    return VariationAtoms(dim=dim, atoms=v, backend=backend, source="boundary")
+    return VariationAtoms(dim=dim, atoms=v, backend="trace", source="boundary")
 
 
 def total_variation(atoms):
@@ -192,7 +194,7 @@ def _fold(v):
     return v, np.arctan2(v[:, 1], v[:, 0])
 
 
-def psi_samples(atoms, directions, chunk=16384):
+def psi_samples(atoms, directions):
     """Psi_xi = sum_i |v_i . xi| for a batch of directions, shape (M,), exact
     up to rounding.
 
@@ -224,8 +226,8 @@ def psi_samples(atoms, directions, chunk=16384):
         out += np.abs(left[:, 0] * D[:, 0] + left[:, 1] * D[:, 1])
         out += np.abs(right[:, 0] * D[:, 0] + right[:, 1] * D[:, 1])
         return out
-    for i in range(0, len(v), chunk):
-        prod = v[i:i + chunk] @ D.T
+    for i in range(0, len(v), PSI_CHUNK):
+        prod = v[i:i + PSI_CHUNK] @ D.T
         np.abs(prod, out=prod)
         out += prod.sum(axis=0)
     return out

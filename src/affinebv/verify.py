@@ -23,7 +23,7 @@ from .energy import (
     energy_of_atoms,
     make_quadrature,
 )
-from .errors import AffineBVError
+from .errors import AffineBVError, ConfigError
 from .functionals import clamp_rim, truncate
 from .grid import (
     GridFunction,
@@ -42,6 +42,14 @@ from .variation import (
     covariance_eigen_ratio,
     total_variation,
 )
+
+# Gaussian bumps summed into each random corpus field
+BUMPS_PER_FIELD = 3
+# affine invariance: relative tolerance of the exact atom path and of the
+# interpolating resampling path; norm cap of the random sl(n) generator
+AFFINE_ATOM_TOL = 1e-3
+AFFINE_RESAMPLE_TOL = 0.02
+AFFINE_GENERATOR_SCALE = 0.5
 
 
 @dataclass
@@ -92,6 +100,11 @@ class VerifyConfig:
     suites: tuple = ("sobolev_zhang", "comparisons", "superadditivity",
                      "affine_invariance", "wirtinger_gap", "huang_li")
     forced_tolerance: float | None = None   # harness self-test hook
+
+    def __post_init__(self):
+        for name in ("n_fields", "n_maps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def as_dict(self):
         return {
@@ -156,8 +169,9 @@ def ellipse_domain(grid, matrix):
     return spec, mask
 
 
-def random_bumps(mask, count, rng, signed=False, n_bumps=3):
-    """Smooth compactly supported fields: sums of random Gaussian bumps."""
+def random_bumps(mask, count, rng, signed=False):
+    """Smooth compactly supported fields: sums of BUMPS_PER_FIELD random
+    Gaussian bumps."""
     spec = mask.spec
     pts = spec.cell_centers()[mask.inside]
     xs = spec.axes()
@@ -166,7 +180,7 @@ def random_bumps(mask, count, rng, signed=False, n_bumps=3):
     out = []
     for _ in range(count):
         vals = np.zeros(spec.shape)
-        for _ in range(n_bumps):
+        for _ in range(BUMPS_PER_FIELD):
             c = lo + (0.25 + 0.5 * rng.random(spec.dim)) * span
             w = (0.08 + 0.12 * rng.random()) * float(span.min())
             amp = rng.uniform(0.3, 1.0)
@@ -192,7 +206,7 @@ def check_sobolev_zhang(corpus, mask, quadrature, backend=CELL_GRADIENT,
     details = {}
     passed = True
     for name, u in corpus:
-        e = affine_energy_extended(u, mask, backend, quadrature, consts=consts)
+        e = affine_energy_extended(u, mask, backend, quadrature)
         nrm = lq_norm(u, mask, q)
         if nrm == 0:
             continue
@@ -219,15 +233,13 @@ def check_comparisons(corpus, mask, quadrature, tolerance=1e-3,
                       equality_tol=1e-12):
     """(C1) E(ext) <= TV + trace; (C2) equality for zero-trace fields;
     (C3) superadditivity of extended over interior + boundary energies."""
-    consts = constants(mask.spec.dim)
     c1_worst = -np.inf
     c2_worst = 0.0
     c3_worst = -np.inf
     count = 0
     for _, u in corpus:
         count += 1
-        e_ext = affine_energy_extended(u, mask, FACE_ATOMS, quadrature,
-                                       consts=consts)
+        e_ext = affine_energy_extended(u, mask, FACE_ATOMS, quadrature)
         atoms_int = compute_atoms(u, mask, backend=FACE_ATOMS)
         tv = total_variation(atoms_int)
         tr = extract_trace(u, mask)
@@ -236,17 +248,13 @@ def check_comparisons(corpus, mask, quadrature, tolerance=1e-3,
         c1_worst = max(c1_worst, (e_ext.value - rhs) / scale)
 
         u0 = clamp_rim(u, mask)
-        e0_ext = affine_energy_extended(u0, mask, FACE_ATOMS, quadrature,
-                                        consts=consts)
-        e0_int = affine_energy_interior(u0, mask, FACE_ATOMS, quadrature,
-                                        consts=consts)
+        e0_ext = affine_energy_extended(u0, mask, FACE_ATOMS, quadrature)
+        e0_int = affine_energy_interior(u0, mask, FACE_ATOMS, quadrature)
         c2_worst = max(c2_worst, abs(e0_ext.value - e0_int.value)
                        / max(1.0, e0_int.value))
 
-        e_int = affine_energy_interior(u, mask, FACE_ATOMS, quadrature,
-                                       consts=consts)
-        e_bdy = affine_energy_boundary(extract_trace(u, mask), quadrature,
-                                       consts=consts)
+        e_int = affine_energy_interior(u, mask, FACE_ATOMS, quadrature)
+        e_bdy = affine_energy_boundary(extract_trace(u, mask), quadrature)
         scale = max(e_ext.value, 1e-30)
         c3_worst = max(c3_worst,
                        (e_int.value + e_bdy.value - e_ext.value) / scale)
@@ -271,7 +279,6 @@ def check_superadditivity(corpus, mask, quadrature, tolerance=1e-3,
                           n_levels=5):
     """Extended energy dominates the sum over a truncation split, for level
     values swept over quantiles of |u|."""
-    consts = constants(mask.spec.dim)
     worst = -np.inf
     count = 0
     for _, u in corpus:
@@ -280,14 +287,13 @@ def check_superadditivity(corpus, mask, quadrature, tolerance=1e-3,
         if mags.size == 0:
             continue
         levels = np.quantile(mags, np.linspace(0.15, 0.95, n_levels))
-        e = affine_energy_extended(u, mask, FACE_ATOMS, quadrature,
-                                   consts=consts)
+        e = affine_energy_extended(u, mask, FACE_ATOMS, quadrature)
         for h in levels:   # quantiles of positive magnitudes: h > 0
             pair = truncate(u, float(h))
             et = affine_energy_extended(pair.truncated, mask, FACE_ATOMS,
-                                        quadrature, consts=consts)
+                                        quadrature)
             er = affine_energy_extended(pair.remainder, mask, FACE_ATOMS,
-                                        quadrature, consts=consts)
+                                        quadrature)
             scale = max(e.value, 1e-30)
             worst = max(worst, (et.value + er.value - e.value) / scale)
             count += 1
@@ -301,12 +307,9 @@ def check_superadditivity(corpus, mask, quadrature, tolerance=1e-3,
     )
 
 
-def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0,
-                            atom_tol=1e-3, resample_tol=0.02,
-                            generator_scale=0.5):
+def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0):
     """Energy invariance under det-1 maps: exact change of variables on the
     atoms, and the interpolating resampling path."""
-    consts = constants(mask.spec.dim)
     rng = np.random.default_rng(seed)
     n = mask.spec.dim
     atom_worst = 0.0
@@ -315,32 +318,33 @@ def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0,
     for name, u in corpus:
         atoms = compute_atoms(u, mask, backend=CELL_GRADIENT,
                               include_boundary=True)
-        e0 = energy_of_atoms(atoms, quadrature, consts).value
+        e0 = energy_of_atoms(atoms, quadrature).value
         if e0 == 0:
             continue
         for _ in range(n_maps):
             A = rng.normal(size=(n, n))
             A -= np.trace(A) / n * np.eye(n)
-            A *= generator_scale / max(1.0, np.linalg.norm(A))
+            A *= AFFINE_GENERATOR_SCALE / max(1.0, np.linalg.norm(A))
             T = expm(A)
-            e1 = energy_of_atoms(atoms.transformed(T), quadrature, consts).value
+            e1 = energy_of_atoms(atoms.transformed(T), quadrature).value
             atom_worst = max(atom_worst, abs(e1 - e0) / e0)
             count += 1
         try:
             v = resample_affine(u, T)
-            e2 = affine_energy_extended(v, mask, CELL_GRADIENT, quadrature,
-                                        consts=consts).value
+            e2 = affine_energy_extended(v, mask, CELL_GRADIENT, quadrature).value
             resample_worst = max(resample_worst, abs(e2 - e0) / e0)
         except AffineBVError:
             pass  # support escaped the grid; the atom path already covered T
-    passed = atom_worst <= atom_tol and resample_worst <= resample_tol
+    passed = (atom_worst <= AFFINE_ATOM_TOL
+              and resample_worst <= AFFINE_RESAMPLE_TOL)
     return _record(
         name="affine_invariance",
         statement="E(u o T) = E(u) for det T = 1",
         corpus=f"{count} (field, map) pairs",
         count=count, worst_margin=float(max(atom_worst, resample_worst)),
-        tolerance=atom_tol, passed=bool(passed),
-        slack=min(atom_tol - atom_worst, resample_tol - resample_worst),
+        tolerance=AFFINE_ATOM_TOL, passed=bool(passed),
+        slack=min(AFFINE_ATOM_TOL - atom_worst,
+                  AFFINE_RESAMPLE_TOL - resample_worst),
         details={"atom_worst": atom_worst, "resample_worst": resample_worst},
     )
 
@@ -350,11 +354,10 @@ def check_wirtinger_gap(grid=128, dirs=256):
     interior energy: a single-direction field has zero interior energy but
     mean-centered L1 norm far from zero.  Includes a negative control."""
     spec, mask = square_domain(grid)
-    consts = constants(2)
     quad = make_quadrature(2, dirs)
     x = spec.cell_centers()[..., 0]
     u = GridFunction(spec, np.where(mask.inside, np.sin(np.pi * x), 0.0))
-    e = affine_energy_interior(u, mask, CELL_GRADIENT, quad, consts=consts)
+    e = affine_energy_interior(u, mask, CELL_GRADIENT, quad)
     mean = float(np.mean(u.values[mask.inside]))
     centered = u.with_values(np.where(mask.inside, u.values - mean, 0.0))
     nrm = lq_norm(centered, mask, 1.0)
@@ -364,7 +367,7 @@ def check_wirtinger_gap(grid=128, dirs=256):
     # negative control: gradient direction varies, covariance has full rank
     y = spec.cell_centers()[..., 1]
     v = GridFunction(spec, np.where(mask.inside, x + y * y, 0.0))
-    e_ctrl = affine_energy_interior(v, mask, CELL_GRADIENT, quad, consts=consts)
+    e_ctrl = affine_energy_interior(v, mask, CELL_GRADIENT, quad)
 
     flags = (e.degenerate and e.value == 0.0 and not e_ctrl.degenerate
              and e_ctrl.value > 0)
@@ -392,7 +395,7 @@ def check_huang_li(corpus, mask, quadrature, tolerance=1e-2,
     details = {}
     for name, u in corpus:
         atoms = compute_atoms(u, mask, backend=backend, include_boundary=True)
-        e = energy_of_atoms(atoms, quadrature, consts).value
+        e = energy_of_atoms(atoms, quadrature).value
         if e == 0:
             continue
         _, f_best, isotropy = sl_n_minimize_tv(atoms)

@@ -99,7 +99,7 @@ def test_criterion_02_square_energy(quad512):
 
     body = PolygonBody(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]))
     psi = np.array([psi_polygon(body, xi) for xi in quad512.directions])
-    e_oracle = energy_from_psi(psi, quad512, constants(2))
+    e_oracle = energy_from_psi(psi, quad512)
     oracle_err = abs(e_oracle.value - alpha) / alpha
 
     ok = grid_err <= 0.03 and oracle_err <= 1e-4

@@ -214,6 +214,37 @@ class TestMinimize:
             main(["minimize", "--domain", square_cfg])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option,message", [
+        (["--starts", "0"], "n_starts must be >= 1"),
+        (["--max-iters", "-1"], "max_iters must be >= 0"),
+    ], ids=["zero-starts", "negative-iters"])
+    def test_bad_solver_option_exits_2(self, capsys, square_cfg, option,
+                                       message):
+        code, out, err = run_main(capsys, "minimize", "--level", "cA",
+                                  "--q", "1.0", "--domain", square_cfg,
+                                  "--grid", "32", *option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"configuration error: {message}")
+        assert err.count("\n") == 1
+
+    def test_every_start_unprojectable_is_not_degenerate(self, capsys,
+                                                         tmp_path):
+        # every inside cell of this thin box is a rim cell, so the zero-trace
+        # projection fails for every start: a failure, not a degenerate level
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps(
+            {"shape": "box", "extents": [[0.1, 0.9], [0.45, 0.5]],
+             "grid_extent": [[0, 1], [0, 1]]}))
+        code, out, _ = run_main(capsys, "minimize", "--level", "cA0",
+                                "--q", "1", "--domain", str(path),
+                                "--grid", "32", "--dirs", "64", "--starts", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert [s["stop"] for s in doc["starts"]] == ["projection_failed"] * 2
+        assert doc["failed"] is True
+        assert doc["degenerate"] is False
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys, tmp_path):
@@ -253,6 +284,13 @@ class TestVerify:
         code, _, err = run_main(capsys, "verify", "--grid", "2")
         assert code == 2
         assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+
+    def test_negative_fields_exit_two(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--fields", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: n_fields must be >= 0")
         assert err.count("\n") == 1
 
     def test_unknown_suite_exit_two(self, capsys):

@@ -107,8 +107,7 @@ class TestEnergyFromPsi:
     def test_constant_psi_closed_form(self):
         # constant psi = c: value = alpha_n (n omega_n)^(-1/n) c
         q = make_quadrature(2, 256)
-        c = constants(2)
-        e = energy_from_psi(np.full(256, 4.0), q, c)
+        e = energy_from_psi(np.full(256, 4.0), q)
         assert e.value == pytest.approx(2 * np.pi, rel=1e-12)
         assert not e.degenerate
 
@@ -116,7 +115,7 @@ class TestEnergyFromPsi:
         q = make_quadrature(2, 64)
         psi = np.full(64, 1.0)
         psi[10] = 0.0
-        e = energy_from_psi(psi, q, constants(2))
+        e = energy_from_psi(psi, q)
         assert e.degenerate
         assert e.value == 0.0
 
@@ -124,7 +123,7 @@ class TestEnergyFromPsi:
         q = make_quadrature(2, 512)
         th = np.arctan2(q.directions[:, 1], q.directions[:, 0])
         psi = 2 * (np.abs(np.cos(th)) + np.abs(np.sin(th)))
-        e = energy_from_psi(psi, q, constants(2))
+        e = energy_from_psi(psi, q)
         assert e.value == pytest.approx(constants(2).alpha, rel=1e-4)
 
     def test_negative_sample_rejected(self):
@@ -132,17 +131,17 @@ class TestEnergyFromPsi:
         psi = np.full(64, 1.0)
         psi[3] = -0.5
         with pytest.raises(AffineBVError):
-            energy_from_psi(psi, q, constants(2))
+            energy_from_psi(psi, q)
 
     def test_monotone_in_each_sample(self):
         q = make_quadrature(2, 64)
         rng = np.random.default_rng(2)
         psi = 1.0 + rng.random(64)
-        base = energy_from_psi(psi, q, constants(2)).value
+        base = energy_from_psi(psi, q).value
         for _ in range(10):
             bumped = psi.copy()
             bumped[rng.integers(64)] += rng.random()
-            assert energy_from_psi(bumped, q, constants(2)).value >= base
+            assert energy_from_psi(bumped, q).value >= base
 
 
 class TestAffineEnergies:
@@ -186,7 +185,7 @@ class TestAffineEnergies:
             u = random_field(spec, mask, seed=seed, smooth=1)
             atoms = compute_atoms(u, mask, backend=FACE_ATOMS,
                                   include_boundary=True)
-            e = energy_of_atoms(atoms, quad512, constants(2))
+            e = energy_of_atoms(atoms, quad512)
             assert e.value <= total_variation(atoms) * (1 + 1e-3)
 
     def test_quadrature_refinement_stable(self, disk64):
@@ -234,7 +233,7 @@ class TestAffineEnergies:
         u = random_field(spec, mask, seed=23, smooth=2)
         atoms = compute_atoms(u, mask, backend=CELL_GRADIENT,
                               include_boundary=True)
-        e0 = energy_of_atoms(atoms, quad512, constants(2)).value
+        e0 = energy_of_atoms(atoms, quad512).value
         rng = np.random.default_rng(5)
         from scipy.linalg import expm
 
@@ -242,8 +241,7 @@ class TestAffineEnergies:
             A = rng.normal(size=(2, 2)) * 0.4
             A -= np.trace(A) / 2 * np.eye(2)
             T = expm(A)
-            e1 = energy_of_atoms(atoms.transformed(T), quad512,
-                                 constants(2)).value
+            e1 = energy_of_atoms(atoms.transformed(T), quad512).value
             assert abs(e1 - e0) / e0 < 1e-3
 
 

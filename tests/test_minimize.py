@@ -308,8 +308,9 @@ class TestEvaluationReuse:
     def test_minimize_matches_parent_formula(self, monkeypatch, domain, cspec,
                                              stall_window):
         mask = aligned_square(48)[1] if domain == "square" else _ball_domain(2, 48)[1]
-        config = MinimizeConfig(seed=0, max_iters=60, n_starts=2,
-                                stall_window=stall_window, stall_rel=1e-2)
+        config = MinimizeConfig(seed=0, max_iters=60, n_starts=2)
+        monkeypatch.setattr(minimize_module, "STALL_WINDOW", stall_window)
+        monkeypatch.setattr(minimize_module, "STALL_REL", 1e-2)
 
         def run():
             return minimize_level(mask, Weights(0.0, 0.0), cspec, config=config,

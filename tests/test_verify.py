@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from affinebv import GridFunction, make_quadrature
+from affinebv import ConfigError, GridFunction, make_quadrature
 from affinebv.verify import (
     VerifyConfig,
     check_affine_invariance,
@@ -142,6 +142,11 @@ class TestRunSuite:
         names = [r.name for r in report.records]
         for suite in ("comparisons", "superadditivity", "wirtinger_gap"):
             assert suite in names
+
+    @pytest.mark.parametrize("field", ["n_fields", "n_maps"])
+    def test_negative_counts_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
+            small_config(**{field: -1})
 
     def test_empty_corpus_vacuous(self):
         report = run_suite(small_config(n_fields=0))
