@@ -1,10 +1,13 @@
 """Smoothed projected descent, gradient correctness, SL(n) search."""
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from affinebv import (
@@ -29,6 +32,7 @@ from affinebv.minimize import (
     SmoothedProblem,
     check_gradient,
 )
+from affinebv.grid import row_norms
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS, covariance
 from affinebv.verify import square_domain
 
@@ -159,9 +163,9 @@ class TestMinimizeLevel:
 
 
 class ParentFormula(SmoothedProblem):
-    """The smoothed objective and gradient recomputed from scratch at every
-    call, with fresh temporaries: the reference the reusing evaluation must
-    match bit for bit."""
+    """The dense smoothed objective and gradient recomputed from scratch at
+    every call, with fresh temporaries: the 3D reference the reusing
+    evaluation must match bit for bit."""
 
     def value(self, x, delta):
         _, aval, _, bval = self._weight_parts(x, delta)
@@ -196,6 +200,16 @@ class ParentFormula(SmoothedProblem):
         ssum = float(np.dot(self.quad.weights, psi ** (-float(n))))
         energy = self.consts.alpha * ssum ** (-1.0 / n)
         return D, S, psi, ssum, energy
+
+
+class FreshEvaluation(SmoothedProblem):
+    """The current objective evaluated from scratch at every call: the 2D
+    reference the reusing evaluation must match bit for bit (the windowed
+    2D kernel is not ParentFormula's dense one)."""
+
+    def _parts(self, x, delta):
+        self._last = None
+        return super()._parts(x, delta)
 
 
 def _ball_domain(dim, grid):
@@ -237,7 +251,8 @@ class TestEvaluationReuse:
         got = prob.value_and_gradient(x, self.DELTA)
         assert val == make().value(x, self.DELTA)
         _same(got, make().value_and_gradient(x, self.DELTA))
-        _same(got, make(ParentFormula).value_and_gradient(x, self.DELTA))
+        reference = ParentFormula if dim == 3 else FreshEvaluation
+        _same(got, make(reference).value_and_gradient(x, self.DELTA))
         assert not got[2]
 
     def test_delta_changed(self):
@@ -317,7 +332,7 @@ class TestEvaluationReuse:
                                   quadrature=make_quadrature(2, 256))
 
         got = run()
-        monkeypatch.setattr(minimize_module, "SmoothedProblem", ParentFormula)
+        monkeypatch.setattr(minimize_module, "SmoothedProblem", FreshEvaluation)
         want = run()
         assert got.level == want.level
         assert np.array_equal(got.extremal.values, want.extremal.values)
@@ -354,6 +369,103 @@ class TestStartRecords:
         assert res.degenerate and res.meta["failed"]
         assert [s["stop"] for s in res.meta["starts"]] == ["degenerate"] * 2
         assert all(s["iterations"] == 1 for s in res.meta["starts"])
+
+    def test_start_levels_are_nonsmooth_levels(self):
+        spec, mask = aligned_square(48)
+        res = self._run(mask, extra=(GridFunction.zeros(spec),))
+        levels = res.as_dict()["start_levels"]
+        assert levels[:2] == [h[-1] for h in res.histories[:2]]
+        assert levels[2] is None
+        assert min(levels[:2]) == res.level
+
+    def test_degenerate_start_has_no_level(self, monkeypatch):
+        # a degenerate start's history ends in a smoothed value, not a level
+        monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, V: True)
+        _, mask = aligned_square(48)
+        out = self._run(mask).as_dict()
+        assert math.isnan(out["level"])
+        assert out["start_levels"] == [None, None]
+
+
+def _windowed_psi_reference(V, directions, eps):
+    """Psi_delta of the atoms V, one (atom, direction) pair at a time: the
+    floor sqrt(r^2 + eps^2) - h(r) plus the Huber mass h(r) times |cos|
+    averaged over the window of width w = pi / len(directions) around the
+    direction.  sin(tau) = |xi . e| places the nearest perpendicular of the
+    atom at tau from the direction."""
+    w = math.pi / len(directions)
+    r = np.hypot(V[:, 0], V[:, 1])
+    h = np.where(r < eps, r * r / (2 * eps), r - eps / 2)
+    root = np.sqrt(r * r + eps * eps)
+    floor = np.where(r < eps, root - h, eps * eps / (root + r) + eps / 2)
+    e = V / np.where(r > 0, r, 1.0)[:, None]
+    c = np.abs(e @ directions.T)                  # sin(tau)
+    cos_tau = np.sqrt(1.0 - c * c)
+    # window without the perpendicular: |cos| integrates to 2 sin(w/2) c;
+    # with it, at tau from the center: 2 - 2 cos(tau) cos(w/2)
+    K = np.where(c >= math.sin(w / 2), 2 * math.sin(w / 2) * c / w,
+                 (2 / w) * (c * c / (1 + cos_tau)
+                            + 2 * cos_tau * math.sin(w / 4) ** 2))
+    return (floor[:, None] + h[:, None] * K).sum(axis=0)
+
+
+_SIGNED_ZEROS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+
+
+@st.composite
+def _atom_sets(draw):
+    """(M, atoms, eps) with zero atoms, axis atoms, antipodal duplicates,
+    signed zeros and atoms whose perpendicular lies on a window edge."""
+    M = draw(st.sampled_from([64, 256, 512, 4096]))
+    mag = st.floats(1e-3, 1e3)
+    sign = st.sampled_from([1.0, -1.0])
+    edge_angle = st.integers(0, M - 1).map(
+        lambda J: (J + 0.5) * 2 * math.pi / M - math.pi / 2)
+    atom = st.one_of(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.sampled_from(_SIGNED_ZEROS),
+        st.tuples(mag, sign, sign).map(lambda a: (a[0] * a[1], a[2] * 0.0)),
+        st.tuples(mag, sign, sign).map(lambda a: (a[2] * 0.0, a[0] * a[1])),
+        st.tuples(mag, edge_angle).map(
+            lambda a: (a[0] * math.cos(a[1]), a[0] * math.sin(a[1]))),
+    )
+    atoms = draw(st.lists(atom, min_size=1, max_size=40))
+    dups = draw(st.lists(st.integers(0, len(atoms) - 1), max_size=8))
+    V = np.array(atoms + [(-atoms[i][0], -atoms[i][1]) for i in dups])
+    return M, V, draw(st.floats(1e-3, 1.0))
+
+
+class TestWindowedKernel:
+    """The 2D objective's O(N + M) window sums against a per-pair
+    reference, and its gradient against central differences."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_atom_sets())
+    def test_matches_pair_reference(self, case):
+        M, V, eps = case
+        _, mask = aligned_square(8)
+        prob = SmoothedProblem(mask, Weights(0.0, 0.0), make_quadrature(2, M))
+        _, psi = prob._window_psi(V, eps)
+        want = _windowed_psi_reference(V, prob.quad.directions, eps)
+        np.testing.assert_allclose(psi, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("backend", [CELL_GRADIENT, FACE_ATOMS])
+    def test_gradient_piecewise_constant(self, disk64, quad128, backend):
+        spec, mask = disk64
+        delta = 1e-2
+        prob = SmoothedProblem(mask, Weights(a=0.7, b=0.4), quad128,
+                               backend=backend)
+        # one jump of 0.7 and, every 4 columns, steps of 3e-3 < delta:
+        # the steps' atoms are in the Huber branch, all others exactly zero
+        col = np.floor((spec.cell_centers()[..., 0] + 1.3) / (4 * spec.spacing))
+        vals = 0.3 + 3e-3 * col + 0.7 * (col > 16)
+        x = prob.to_vector(GridFunction(spec, np.where(mask.inside, vals, 0.0)))
+        r = row_norms(prob.atom_matrix(x)) / prob.atom_scale
+        assert np.mean(r == 0) > 0.5
+        assert np.mean((r > 0) & (r < delta)) > 0.1
+        worst, tol = check_gradient(prob, x, delta=delta, n_coords=40,
+                                    rng=np.random.default_rng(4))
+        assert worst <= tol
 
 
 class TestCriticalThreshold:
