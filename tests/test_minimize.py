@@ -27,12 +27,12 @@ from affinebv import (
 )
 import affinebv.minimize as minimize_module
 from affinebv.errors import AffineBVError
+from affinebv.grid import row_norms
 from affinebv.minimize import (
     MinimizeConfig,
     SmoothedProblem,
     check_gradient,
 )
-from affinebv.grid import row_norms
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS, covariance
 from affinebv.verify import square_domain
 
