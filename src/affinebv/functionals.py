@@ -21,7 +21,7 @@ from .errors import AffineBVError, ConfigError, GridError
 from .grid import GridFunction, extract_trace, lq_norm, zero_extend
 from .variation import CELL_GRADIENT, compute_atoms, total_variation
 
-# m_r bisection: relative residual accepted once the bracket is resolved
+# m_r Newton solve: relative residual accepted once the step is resolved
 MR_TOL = 1e-10
 MR_MAX_ITER = 200
 # Y projection: both residuals below this, within this many rounds
@@ -115,10 +115,18 @@ def _mr_residual(vals, m, r, cell_volume):
 
 
 def m_r_solve(u, mask, r):
-    """The unique m with ``sum |u - m|^(r-1) (u - m) h^n = 0``.
+    """The unique m with ``g(m) = sum |u - m|^(r-1) (u - m) h^n = 0``.
 
-    The residual is strictly decreasing in m, so bisection on
-    [min u, max u] is unconditionally safe.  For r = 1 this is the mean.
+    For r > 1, g is strictly decreasing with ``g'(m) = -r * scale``, where
+    ``scale = sum |u - m|^(r-1) h^n``, so one pass over the values gives
+    both g and a Newton step.  The iteration starts at the mean inside the
+    bracket [min u, max u]; each residual's sign shrinks the bracket, and a
+    step that leaves the open bracket is replaced by bisection, so the
+    iterates never leave it.  Returns m once ``|g| <= MR_TOL * scale`` and
+    the Newton step is at most 1e-13 of the value span (the location is
+    resolved as well as the residual is small), or when g = 0 exactly;
+    after ``MR_MAX_ITER`` passes returns the last iterate.  For r = 1 this
+    is the mean.
     """
     if r < 1:
         raise AffineBVError(f"r must be >= 1, got {r}")
@@ -132,20 +140,28 @@ def m_r_solve(u, mask, r):
     if lo == hi:
         return lo
     span = hi - lo
+    m = float(np.mean(vals))
     for _ in range(MR_MAX_ITER):
-        m = 0.5 * (lo + hi)
-        g = _mr_residual(vals, m, r, h_n)
-        # require both a resolved bracket and a small residual, so the
-        # returned location is accurate; only then is the scale needed
-        if hi - lo <= 1e-13 * max(span, 1e-300):
-            scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
-            if abs(g) <= MR_TOL * max(scale, 1e-300):
-                return m
+        d = vals - m
+        p = np.abs(d) ** (r - 1.0)
+        # the same arithmetic as _mr_residual, so the contract holds for it
+        g = float(np.sum(p * d) * h_n)
+        # exact root; also avoids 0/0 when every |u - m|^(r-1) underflows
+        if g == 0.0:
+            return m
+        scale = float(np.sum(p) * h_n)
+        step = g / (r * scale)
+        if (abs(g) <= MR_TOL * max(scale, 1e-300)
+                and abs(step) <= 1e-13 * span):
+            return m
         if g > 0:
             lo = m
         else:
             hi = m
-    return 0.5 * (lo + hi)
+        m += step
+        if not lo < m < hi:
+            m = 0.5 * (lo + hi)
+    return m
 
 
 def rim_cells(mask):
@@ -186,8 +202,8 @@ def project_constraint(u, spec, mask):
         v = v.with_values(v.values / norm)
         return ProjectionResult(v, True, abs(lq_norm(v, mask, spec.q) - 1.0),
                                 0.0, 0)
+    s = m_r_solve(v, mask, spec.r)
     for rounds in range(1, PROJECTION_MAX_ROUNDS + 1):
-        s = m_r_solve(v, mask, spec.r)
         v = v.with_values(np.where(mask.inside, v.values - s, 0.0))
         if spec.zero_trace:
             v = clamp_rim(v, mask)
@@ -195,7 +211,9 @@ def project_constraint(u, spec, mask):
         if norm == 0.0:
             raise AffineBVError("field collapsed to zero during Y projection")
         v = v.with_values(v.values / norm)
-        orth = abs(m_r_solve(v, mask, spec.r))
+        # the check's shift is the next round's shift
+        s = m_r_solve(v, mask, spec.r)
+        orth = abs(s)
         nrm = abs(lq_norm(v, mask, spec.q) - 1.0)
         scale = max(float(np.max(np.abs(v.values))), 1e-300)
         if orth <= PROJECTION_TOL * scale and nrm <= PROJECTION_TOL:

@@ -183,14 +183,105 @@ def _m_r_reference(u, mask, r, tol=1e-10, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+def _assert_solves(u, mask, r):
+    """m_r_solve's m lies in [min u, max u], meets the residual contract
+    and agrees with the bisection reference to 1e-12 of the value span."""
+    from affinebv.functionals import _mr_residual
+
+    vals = u.values[mask.inside]
+    h_n = mask.spec.cell_volume
+    m = m_r_solve(u, mask, r)
+    assert vals.min() <= m <= vals.max()
+    scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
+    assert abs(_mr_residual(vals, m, r, h_n)) <= 1e-10 * max(scale, 1e-300)
+    span = float(vals.max() - vals.min())
+    assert abs(m - _m_r_reference(u, mask, r)) <= 1e-12 * span
+
+
 class TestMrSolveReference:
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.5])
-    def test_bitwise_equal_to_reference(self, disk64, r):
+    def test_agrees_with_reference(self, disk64, r):
         spec, mask = disk64
         for seed in range(8):
             u = random_field(spec, mask, seed=seed, smooth=seed % 3)
             u = u.with_values(u.values * (1 + seed) + 0.3 * seed)
-            assert m_r_solve(u, mask, r) == _m_r_reference(u, mask, r)
+            _assert_solves(u, mask, r)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           r=st.sampled_from([1.05, 1.5, 2.0, 3.5, 6.0]),
+           kind=st.sampled_from(["gaussian", "two_valued", "outlier",
+                                 "cubed"]),
+           s=st.floats(1e-2, 1e2), c=st.floats(-5, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_stress_fields(self, disk64, seed, r, kind, s, c):
+        spec, mask = disk64
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=mask.n_inside)
+        if kind == "two_valued":
+            x = np.where(rng.random(x.size) < rng.uniform(0.01, 0.99),
+                         2.0, -1.0)
+        elif kind == "outlier":
+            # one cell far from the rest: its term dominates the residual
+            x[rng.integers(x.size)] = rng.choice([-1.0, 1.0]) * 50.0
+        elif kind == "cubed":
+            x = x ** 3
+        vals = np.zeros(spec.shape)
+        vals[mask.inside] = s * x + c
+        _assert_solves(GridFunction(spec, vals), mask, r)
+
+    @pytest.mark.parametrize("r", [3.5, 6.0])
+    def test_overflowing_residual_stays_in_bracket(self, r):
+        """|u - m|^r overflows, so g and the Newton step are not finite;
+        the bracket safeguard still returns a value inside [min u, max u]."""
+        spec, mask = small_domain()
+        u = random_field(spec, mask, seed=1)
+        u = u.with_values(1e100 * u.values)
+        vals = u.values[mask.inside]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = m_r_solve(u, mask, r)
+        assert vals.min() <= m <= vals.max()
+
+    @pytest.mark.parametrize("r", [1.05, 1.5, 2.0, 3.5, 6.0])
+    def test_few_passes(self, disk64, r):
+        """Newton converges in a handful of passes; bisection to the same
+        resolution takes about 44."""
+        import affinebv.functionals as functionals
+
+        spec, mask = disk64
+        for seed in range(8):
+            u = random_field(spec, mask, seed=seed, smooth=seed % 3)
+            u = u.with_values((u.values * (1 + seed) + 0.3 * seed) ** 3)
+            m = m_r_solve(u, mask, r)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(functionals, "MR_MAX_ITER", 10)
+                assert m_r_solve(u, mask, r) == m
+
+
+class TestMrSolveLevels:
+    @pytest.mark.parametrize("zero_trace", [False, True], ids=["Y", "Y0"])
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_levels_match_reference_solver(self, monkeypatch, zero_trace, r):
+        """Minimizer levels with the shipped m_r solver and with the
+        bisection reference agree to 1e-10 relative."""
+        import affinebv.functionals as functionals
+        from affinebv import make_quadrature, minimize_level
+        from affinebv.minimize import MinimizeConfig
+
+        spec = GridSpec(dim=2, shape=(32, 32), spacing=2.6 / 32,
+                        origin=(-1.3, -1.3))
+        mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0],
+                                "radius": 1.0})
+        cs = ConstraintSpec(q=1.5, kind="Y", r=r, zero_trace=zero_trace)
+
+        def level():
+            return minimize_level(
+                mask, Weights(0.0, 0.0), cs,
+                config=MinimizeConfig(max_iters=80, n_starts=2, seed=0),
+                quadrature=make_quadrature(2, 128)).level
+
+        shipped = level()
+        monkeypatch.setattr(functionals, "m_r_solve", _m_r_reference)
+        assert shipped == pytest.approx(level(), rel=1e-10)
 
 
 class TestTruncate:
@@ -286,6 +377,58 @@ class TestProjection:
         cs = ConstraintSpec(q=2.0, kind="X", r=1.0, zero_trace=False)
         with pytest.raises(AffineBVError):
             project_constraint(GridFunction.zeros(spec), cs, mask)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.5])
+    def test_y_one_solve_per_round(self, disk64, monkeypatch, r):
+        """Each round's orthogonality check supplies the next round's
+        shift, with the field of the loop that solved twice per round."""
+        import affinebv.functionals as functionals
+
+        spec, mask = disk64
+        cs = ConstraintSpec(q=1.5, kind="Y", r=r, zero_trace=True)
+        u = random_field(spec, mask, seed=3, smooth=2)
+        u = u.with_values(u.values + 0.5)
+        ref = _project_y_twice_per_round(u, cs, mask)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return m_r_solve(*args)
+
+        monkeypatch.setattr(functionals, "m_r_solve", counted)
+        res = project_constraint(u, cs, mask)
+        assert res.converged and res.rounds >= 3
+        assert len(calls) == res.rounds + 1
+        assert np.array_equal(res.u.values, ref.u.values)
+        assert (res.rounds, res.norm_residual, res.orth_residual) == (
+            ref.rounds, ref.norm_residual, ref.orth_residual)
+
+
+def _project_y_twice_per_round(u, spec, mask):
+    """The Y projection that solved for the shift again at the start of
+    each round, on the field its previous round had just checked."""
+    from affinebv.functionals import (
+        PROJECTION_MAX_ROUNDS,
+        PROJECTION_TOL,
+        ProjectionResult,
+    )
+    from affinebv.grid import zero_extend
+
+    v = zero_extend(u, mask)
+    if spec.zero_trace:
+        v = clamp_rim(v, mask)
+    for rounds in range(1, PROJECTION_MAX_ROUNDS + 1):
+        s = m_r_solve(v, mask, spec.r)
+        v = v.with_values(np.where(mask.inside, v.values - s, 0.0))
+        if spec.zero_trace:
+            v = clamp_rim(v, mask)
+        v = v.with_values(v.values / lq_norm(v, mask, spec.q))
+        orth = abs(m_r_solve(v, mask, spec.r))
+        nrm = abs(lq_norm(v, mask, spec.q) - 1.0)
+        scale = max(float(np.max(np.abs(v.values))), 1e-300)
+        if orth <= PROJECTION_TOL * scale and nrm <= PROJECTION_TOL:
+            return ProjectionResult(v, True, nrm, orth, rounds)
+    return ProjectionResult(v, False, nrm, orth, PROJECTION_MAX_ROUNDS)
 
 
 class TestConstraintSpec:
