@@ -19,6 +19,7 @@ from affinebv import (
     project_constraint,
     truncate,
 )
+import affinebv.functionals as functionals
 from affinebv.errors import AffineBVError
 from affinebv.functionals import clamp_rim, rim_cells
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
@@ -245,8 +246,6 @@ class TestMrSolveReference:
     def test_few_passes(self, disk64, r):
         """Newton converges in a handful of passes; bisection to the same
         resolution takes about 44."""
-        import affinebv.functionals as functionals
-
         spec, mask = disk64
         for seed in range(8):
             u = random_field(spec, mask, seed=seed, smooth=seed % 3)
@@ -263,7 +262,6 @@ class TestMrSolveLevels:
     def test_levels_match_reference_solver(self, monkeypatch, zero_trace, r):
         """Minimizer levels with the shipped m_r solver and with the
         bisection reference agree to 1e-10 relative."""
-        import affinebv.functionals as functionals
         from affinebv import make_quadrature, minimize_level
         from affinebv.minimize import MinimizeConfig
 
@@ -382,8 +380,6 @@ class TestProjection:
     def test_y_one_solve_per_round(self, disk64, monkeypatch, r):
         """Each round's orthogonality check supplies the next round's
         shift, with the field of the loop that solved twice per round."""
-        import affinebv.functionals as functionals
-
         spec, mask = disk64
         cs = ConstraintSpec(q=1.5, kind="Y", r=r, zero_trace=True)
         u = random_field(spec, mask, seed=3, smooth=2)
