@@ -12,16 +12,18 @@ affine energy.  Constraint sets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import affine_energy_extended
 from .errors import AffineBVError, ConfigError, GridError
-from .grid import GridFunction, extract_trace, lq_norm, zero_extend
+from .grid import GridFunction, _check_same_grid, extract_trace
 from .variation import CELL_GRADIENT, compute_atoms, total_variation
 
-# m_r Newton solve: relative residual accepted once the step is resolved
+# m_r Newton solve: relative residual accepted once the step is resolved;
+# passes before it reports exhaustion
 MR_TOL = 1e-10
 MR_MAX_ITER = 200
 # Y projection: both residuals below this, within this many rounds
@@ -115,45 +117,54 @@ def _mr_residual(vals, m, r, cell_volume):
 
 
 def m_r_solve(u, mask, r):
-    """The unique m with ``g(m) = sum |u - m|^(r-1) (u - m) h^n = 0``.
+    """The unique m with ``g(m) = sum |u - m|^(r-1) (u - m) h^n = 0`` over
+    the inside cells: :func:`m_r_vector` on their values."""
+    return m_r_vector(u.values[mask.inside], r, mask.spec.cell_volume)[0]
+
+
+def m_r_vector(vals, r, cell_volume):
+    """``(m, converged)`` for the root m of ``g(m) = sum |vals - m|^(r-1)
+    (vals - m) * cell_volume``.
 
     For r > 1, g is strictly decreasing with ``g'(m) = -r * scale``, where
-    ``scale = sum |u - m|^(r-1) h^n``, so one pass over the values gives
-    both g and a Newton step.  The iteration starts at the mean inside the
-    bracket [min u, max u]; each residual's sign shrinks the bracket, and a
-    step that leaves the open bracket is replaced by bisection, so the
-    iterates never leave it.  Returns m once ``|g| <= MR_TOL * scale`` and
-    the Newton step is at most 1e-13 of the value span (the location is
-    resolved as well as the residual is small), or when g = 0 exactly;
-    after ``MR_MAX_ITER`` passes returns the last iterate.  For r = 1 this
-    is the mean.
+    ``scale = sum |vals - m|^(r-1) * cell_volume``, so one pass over the
+    values gives both g and a Newton step.  The iteration starts at the mean
+    inside the bracket [min, max]; each residual's sign shrinks the bracket,
+    and a step that leaves the open bracket is replaced by bisection, so the
+    iterates never leave it.  The location is resolved once the Newton step
+    is at most 1e-13 of the value span or 4 ulp of m, whichever is larger.
+    Returns m when it is resolved and ``|g| <= MR_TOL * scale``, when it is
+    resolved at two passes in a row (the residual, which is not
+    scale-invariant, is then at its rounding floor), or when g = 0 exactly;
+    after ``MR_MAX_ITER`` passes returns the last iterate with ``converged``
+    False.  For r = 1 this is the mean.
     """
     if r < 1:
         raise AffineBVError(f"r must be >= 1, got {r}")
-    vals = u.values[mask.inside]
     if vals.size == 0:
         raise GridError("empty mask")
-    h_n = mask.spec.cell_volume
     if r == 1.0:
-        return float(np.mean(vals))
+        return float(np.mean(vals)), True
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
-        return lo
+        return lo, True
     span = hi - lo
     m = float(np.mean(vals))
+    resolved = False
     for _ in range(MR_MAX_ITER):
         d = vals - m
         p = np.abs(d) ** (r - 1.0)
         # the same arithmetic as _mr_residual, so the contract holds for it
-        g = float(np.sum(p * d) * h_n)
+        g = float(np.sum(p * d) * cell_volume)
         # exact root; also avoids 0/0 when every |u - m|^(r-1) underflows
         if g == 0.0:
-            return m
-        scale = float(np.sum(p) * h_n)
+            return m, True
+        scale = float(np.sum(p) * cell_volume)
         step = g / (r * scale)
-        if (abs(g) <= MR_TOL * max(scale, 1e-300)
-                and abs(step) <= 1e-13 * span):
-            return m
+        was_resolved = resolved
+        resolved = abs(step) <= max(1e-13 * span, 4.0 * math.ulp(m))
+        if resolved and (was_resolved or abs(g) <= MR_TOL * max(scale, 1e-300)):
+            return m, True
         if g > 0:
             lo = m
         else:
@@ -161,7 +172,7 @@ def m_r_solve(u, mask, r):
         m += step
         if not lo < m < hi:
             m = 0.5 * (lo + hi)
-    return m
+    return m, False
 
 
 def rim_cells(mask):
@@ -171,6 +182,11 @@ def rim_cells(mask):
     return rim
 
 
+def rim_positions(mask):
+    """Positions of the rim cells in the inside-cell vector (C order)."""
+    return np.flatnonzero(rim_cells(mask)[mask.inside])
+
+
 def clamp_rim(u, mask):
     """Zero the outermost inside-cell layer (discrete zero trace)."""
     return u.with_values(np.where(rim_cells(mask), 0.0, u.values))
@@ -178,7 +194,7 @@ def clamp_rim(u, mask):
 
 @dataclass
 class ProjectionResult:
-    u: GridFunction
+    u: GridFunction   # project_vector: the inside-cell vector
     converged: bool
     norm_residual: float
     orth_residual: float
@@ -186,36 +202,63 @@ class ProjectionResult:
 
 
 def project_constraint(u, spec, mask):
-    """Restore membership in X or Y (and the zero-trace variants).
+    """Restore membership in X or Y (and the zero-trace variants):
+    :func:`project_vector` on the inside-cell values, zero outside."""
+    _check_same_grid(u, mask)
+    rim = rim_positions(mask) if spec.zero_trace else None
+    res = project_vector(u.values[mask.inside], spec, mask.spec.cell_volume, rim)
+    vals = np.zeros(mask.spec.shape)
+    vals[mask.inside] = res.u
+    res.u = u.with_values(vals)
+    return res
+
+
+def _lq(x, q, cell_volume):
+    # lq_norm's arithmetic on the inside-cell values
+    return float(np.sum(np.abs(x) ** q) * cell_volume) ** (1.0 / q)
+
+
+def _finite(x):
+    if not np.isfinite(x).all():
+        raise GridError("field contains non-finite values")
+    return x
+
+
+def project_vector(x, spec, cell_volume, rim=None):
+    """Project the inside-cell values ``x`` onto X or Y; ``rim`` holds the
+    positions of the rim cells in ``x``, zeroed for the zero-trace variants.
 
     X: scale to unit L^q norm.  Y: alternate subtracting the m_r shift and
     renormalizing until both residuals fall below ``PROJECTION_TOL``;
-    non-convergence is flagged, never silent.
+    non-convergence, of the rounds or of an m_r solve, is flagged, never
+    silent.  Non-finite values raise :class:`GridError`.
     """
-    v = zero_extend(u, mask)
+    v = _finite(x)
     if spec.zero_trace:
-        v = clamp_rim(v, mask)
-    norm = lq_norm(v, mask, spec.q)
+        v = v.copy()
+        v[rim] = 0.0
+    norm = _lq(v, spec.q, cell_volume)
     if norm == 0.0:
         raise AffineBVError("cannot project the zero field onto the constraint set")
     if spec.kind == "X":
-        v = v.with_values(v.values / norm)
-        return ProjectionResult(v, True, abs(lq_norm(v, mask, spec.q) - 1.0),
+        v = _finite(v / norm)
+        return ProjectionResult(v, True, abs(_lq(v, spec.q, cell_volume) - 1.0),
                                 0.0, 0)
-    s = m_r_solve(v, mask, spec.r)
+    s, solved = m_r_vector(v, spec.r, cell_volume)
     for rounds in range(1, PROJECTION_MAX_ROUNDS + 1):
-        v = v.with_values(np.where(mask.inside, v.values - s, 0.0))
+        v = _finite(v - s)
         if spec.zero_trace:
-            v = clamp_rim(v, mask)
-        norm = lq_norm(v, mask, spec.q)
+            v[rim] = 0.0
+        norm = _lq(v, spec.q, cell_volume)
         if norm == 0.0:
             raise AffineBVError("field collapsed to zero during Y projection")
-        v = v.with_values(v.values / norm)
+        v = _finite(v / norm)
         # the check's shift is the next round's shift
-        s = m_r_solve(v, mask, spec.r)
+        s, ok = m_r_vector(v, spec.r, cell_volume)
+        solved = solved and ok
         orth = abs(s)
-        nrm = abs(lq_norm(v, mask, spec.q) - 1.0)
-        scale = max(float(np.max(np.abs(v.values))), 1e-300)
+        nrm = abs(_lq(v, spec.q, cell_volume) - 1.0)
+        scale = max(float(np.max(np.abs(v))), 1e-300)
         if orth <= PROJECTION_TOL * scale and nrm <= PROJECTION_TOL:
-            return ProjectionResult(v, True, nrm, orth, rounds)
+            return ProjectionResult(v, solved, nrm, orth, rounds)
     return ProjectionResult(v, False, nrm, orth, PROJECTION_MAX_ROUNDS)

@@ -8,10 +8,16 @@ described in :class:`SmoothedProblem`.  The reported level is always the
 nonsmooth functional re-evaluated at the final projected iterate, so the
 choice of smoothing cannot change what a level means.
 
-In 2D a point costs O(N + M) for N atoms and M directions; in 3D one dense
-(atoms x half-directions) product, formed in buffers the problem owns.
-The gradient reuses the parts the accepted trial's value left.  Each start
-reports why it stopped.
+A start works on the vector x of inside-cell values (C order) throughout.
+A trial point ``x - step * grad`` is projected by
+:func:`~affinebv.functionals.project_vector` and evaluated from one sparse
+product that gives its atom components; their norms serve the degeneracy
+test and the energy alike.  Only the final projection becomes a grid
+field.  In 2D a trial costs O(n + N + M) for n inside cells, N atoms and
+M directions; in 3D the energy is one dense (atoms x half-directions)
+product, formed in buffers the problem owns.  The gradient reuses the
+parts the accepted trial's value left.  Each start reports why it stopped
+and how many points it evaluated.
 
 The solver tuning has one value in use, so it is module constants, read
 at call time, not config fields: the first trial step ``STEP_INIT``, its
@@ -33,15 +39,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .energy import COV_EIGEN_EPS, constants
-from .errors import AffineBVError, ConfigError
-from .functionals import phi_affine, project_constraint
+from .errors import AffineBVError, ConfigError, GridError
+from .functionals import phi_affine, project_vector, rim_positions
 from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
+    ATOM_ELISION,
     CELL_GRADIENT,
     AtomStencil,
-    VariationAtoms,
     covariance,
     covariance_eigen_ratio,
     total_variation,
@@ -101,9 +108,13 @@ class MinimizeResult:
 class SmoothedProblem:
     """Smoothed affine functional over the inside-cell values of a mask.
 
-    The atom components are linear in the variable vector; the constructor
-    assembles the atom stencil's sparse operator so that objective and
-    analytic gradient are a handful of matrix products per evaluation.
+    The atom components are linear in the variable vector x; the
+    constructor stacks the atom stencil's sparse operators, so one product
+    gives a point's components as the rows of a (dim, N) array.  Their
+    norms ``r_i`` feed both the degeneracy test (the covariance
+    ``M = sum v v^T / r`` of :func:`~affinebv.variation.covariance_eigen_ratio`)
+    and the energy.  A point's weight and energy parts are kept until the
+    next point, so the gradient at an accepted trial recomputes neither.
 
     Let ``eps = delta * atom_scale`` and, for atom i, ``r_i = |v_i|`` and
     ``phi_i`` its angle.  In 2D
@@ -127,7 +138,6 @@ class SmoothedProblem:
         self.mask = mask
         self._a = np.asarray(weights.a)
         self._b = np.asarray(weights.b)
-        self.backend = backend
         self.consts = constants(mask.spec.dim)
         self.quad = quadrature.half
         spec = mask.spec
@@ -144,15 +154,26 @@ class SmoothedProblem:
         self.n_atoms = stencil.n_rows
         self._face_var = stencil.rank[stencil.face_cells]
         self._face_areas = stencil.areas
-        self.B = stencil.operator()
-        self.BT = [b.T.tocsr() for b in self.B]
-        if self.dim != 2:
+        B = stencil.operator()
+        # one product gives every component: row d of a (dim, n_atoms) array
+        self._B = sparse.vstack(B, format="csr")
+        self.BT = [b.T.tocsr() for b in B]
+        k = len(self.quad.directions)
+        if self.dim == 2:
+            self._xi = np.ascontiguousarray(self.quad.directions.T)
+            # window J of the full circle (J in [-k, 2k]) at position J + k:
+            # window J % k of the half circle, turned by (-1)^(J // k)
+            J = np.arange(-k, 2 * k + 1)
+            self._window_of = J % k
+            self._turn_of = 1.0 - 2.0 * ((J // k) & 1)
+        else:
             # the dense 3D products go here
-            shape = (self.n_atoms, len(self.quad.directions))
-            self._D = np.empty(shape)
-            self._S = np.empty(shape)
+            self._D = np.empty((self.n_atoms, k))
+            self._S = np.empty((self.n_atoms, k))
         # (x, delta, parts) of the last point evaluated, while parts hold
         self._last = None
+        # points whose objective was computed, degenerate ones included
+        self.evaluations = 0
 
     # -- variable <-> field ------------------------------------------------
     def to_vector(self, u):
@@ -163,17 +184,33 @@ class SmoothedProblem:
         vals[self._inside_flat] = x
         return GridFunction(self.mask.spec, vals.reshape(self.mask.spec.shape))
 
-    def atom_matrix(self, x):
-        return np.stack([b @ x for b in self.B], axis=1)
+    def _atoms(self, x):
+        """Atom components as the rows of a (dim, n_atoms) array."""
+        return (self._B @ x).reshape(self.dim, self.n_atoms)
 
-    def _degenerate(self, V):
-        atoms = VariationAtoms(dim=self.dim, atoms=V, backend=self.backend)
-        return covariance_eigen_ratio(atoms) < COV_EIGEN_EPS
+    def atom_matrix(self, x):
+        """Atoms as the rows of an (n_atoms, dim) array."""
+        return np.ascontiguousarray(self._atoms(x).T)
+
+    def _degenerate(self, W, r):
+        """:func:`covariance_eigen_ratio` below ``COV_EIGEN_EPS`` for the atoms
+        with components ``W`` (dim, N) and norms ``r``: atoms lighter than
+        ``ATOM_ELISION`` are dropped, and M = sum v v^T / r comes from the
+        norms the objective uses."""
+        if not np.isfinite(r).all() and not np.isfinite(W).all():
+            raise GridError("atoms contain non-finite components")
+        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r >= ATOM_ELISION)
+        M = (W * inv) @ W.T
+        tr = float(np.trace(M))
+        return tr <= 0 or float(np.linalg.eigvalsh(M)[0] / tr) < COV_EIGEN_EPS
 
     # -- objective ---------------------------------------------------------
-    def _energy_parts(self, V, delta):
+    def _energy_parts(self, W, r, delta):
         eps = delta * self.atom_scale
-        kernel, psi = (self._window_psi if self.dim == 2 else self._dense_psi)(V, eps)
+        if self.dim == 2:
+            kernel, psi = self._window_psi(W, r, eps)
+        else:
+            kernel, psi = self._dense_psi(np.ascontiguousarray(W.T), eps)
         n = self.dim
         w = self.quad.weights
         ssum = float(np.dot(w, psi ** (-float(n))))
@@ -192,9 +229,9 @@ class SmoothedProblem:
         D, S = kernel
         # S becomes D/S in place, so the buffers stop holding this point
         self._last = None
-        return np.divide(D, S, out=S) @ (coef[:, None] * self.quad.directions)
+        return (np.divide(D, S, out=S) @ (coef[:, None] * self.quad.directions)).T
 
-    def _window_psi(self, V, eps):
+    def _window_psi(self, W, r, eps):
         """The windowed Psi_delta at the half directions in O(N + M).
 
         The perpendicular of atom i lies in one window, at ``t`` from its
@@ -204,13 +241,13 @@ class SmoothedProblem:
         ``v . xi`` has one sign over the atoms of a window: so the window
         sums of the atoms, turned into the half circle, give the rest of
         every Psi_j.  The half directions lie at the angles ``j w``, where
-        :func:`~affinebv.energy.make_quadrature` places them.
+        :func:`~affinebv.energy.make_quadrature` places them.  ``W`` holds
+        the atom components (2, N), ``r`` their norms.
         """
         k = len(self.quad.directions)
         w = math.pi / k
-        xi = self.quad.directions.T
-        r = row_norms(V)
-        e = V.T / np.where(r > 0, r, 1.0)                     # unit atoms, (2, N)
+        xi = self._xi
+        e = W / np.where(r > 0, r, 1.0)                       # unit atoms, (2, N)
         lin = r >= eps
         slope = np.minimum(r / eps, 1.0)                                 # h'(r)
         g = np.where(lin, 1.0 - 0.5 * eps / np.maximum(r, eps), 0.5 * r / eps)   # h / r
@@ -220,19 +257,22 @@ class SmoothedProblem:
         # window J w +- w/2 of the full circle holds the perpendicular; it is
         # window j of the half circle with center zeta = turn * xi_j
         J = np.rint((np.arctan2(e[1], e[0]) + 0.5 * math.pi) / w).astype(np.intp)
-        j = J % k
-        turn = 1 - 2 * ((J // k) & 1)
-        zeta = xi[:, j]
-        st = turn * (e[0] * zeta[0] + e[1] * zeta[1])                    # sin t
+        J += k
+        j = self._window_of[J]
+        turn = self._turn_of[J]
+        st = turn * (e[0] * xi[0][j] + e[1] * xi[1][j])                  # sin t
         ct = np.sqrt(1.0 - st * st)
         # kappa = (2/w)(1 - cos t cos(w/2)), written without cancellation
         kappa = (2.0 / w) * (st * st / (1.0 + ct) + 2.0 * ct * math.sin(0.25 * w) ** 2)
         mass = g * r
-        bins = np.stack([np.bincount(j, turn * mass * e[d], minlength=k)
-                         for d in range(2)])
+        tm = turn * mass
+        bins = np.empty((2, k))
+        bins[0] = np.bincount(j, tm * e[0], minlength=k)
+        bins[1] = np.bincount(j, tm * e[1], minlength=k)
+        O = _other_windows(bins)
         sinc = 2.0 * math.sin(0.5 * w) / w
         psi = (floor.sum() + np.bincount(j, mass * kappa, minlength=k)
-               + sinc * (xi * _other_windows(bins)).sum(axis=0))
+               + sinc * (xi[0] * O[0] + xi[1] * O[1]))
         return (e, r, slope, g, root, j, turn, st, kappa), psi
 
     def _window_gradient(self, kernel, coef):
@@ -244,15 +284,17 @@ class SmoothedProblem:
         w = math.pi / k
         # the directions outside atom i's window, turned to where
         # cos(theta - phi_i) > 0
-        S = -turn * _other_windows(coef * self.quad.directions.T)[:, j]
+        O = _other_windows(coef * self._xi)
+        S0 = -turn * O[0][j]
+        S1 = -turn * O[1][j]
         sinc = 2.0 * math.sin(0.5 * w) / w
         c = coef[j]
-        C = sinc * (e[0] * S[0] + e[1] * S[1]) + c * kappa
+        C = sinc * (e[0] * S0 + e[1] * S1) + c * kappa
         # C' = dC/dphi, with e_perp = (-e_y, e_x) and kappa'(t) = (2/w) cos(w/2) sin t
-        dC = sinc * (e[0] * S[1] - e[1] * S[0]) + c * (2.0 / w) * math.cos(0.5 * w) * st
+        dC = sinc * (e[0] * S1 - e[1] * S0) + c * (2.0 / w) * math.cos(0.5 * w) * st
         a = coef.sum() * (r / root - slope) + slope * C
         b = g * dC
-        return np.stack([a * e[0] - b * e[1], a * e[1] + b * e[0]]).T
+        return a * e[0] - b * e[1], a * e[1] + b * e[0]
 
     def _weight_parts(self, x, delta):
         sa = np.sqrt(x * x + delta * delta)
@@ -263,19 +305,21 @@ class SmoothedProblem:
         return sa, aval, sb, bval
 
     def _parts(self, x, delta):
-        """Energy parts at (x, delta), None at a degenerate point; equal
-        arguments reuse the last evaluation's parts."""
+        """Weight parts and energy parts at (x, delta), the energy parts None
+        at a degenerate point; equal arguments reuse the last evaluation's."""
         last = self._last
         if last is not None and last[1] == delta and np.array_equal(last[0], x):
             return last[2]
-        V = self.atom_matrix(x)
-        parts = None if self._degenerate(V) else self._energy_parts(V, delta)
+        self.evaluations += 1
+        W = self._atoms(x)
+        r = row_norms(W.T)
+        energy = None if self._degenerate(W, r) else self._energy_parts(W, r, delta)
+        parts = (self._weight_parts(x, delta), energy)
         self._last = (x.copy(), delta, parts)
         return parts
 
     def value(self, x, delta):
-        _, aval, _, bval = self._weight_parts(x, delta)
-        parts = self._parts(x, delta)
+        (_, aval, _, bval), parts = self._parts(x, delta)
         if parts is None:
             return aval + bval
         return parts[-1] + aval + bval
@@ -286,12 +330,11 @@ class SmoothedProblem:
         A degenerate iterate (variation covariance rank-deficient) reports
         zero energy and zero energy-gradient, flagged via the third output.
         """
-        sa, aval, sb, bval = self._weight_parts(x, delta)
+        (sa, aval, sb, bval), parts = self._parts(x, delta)
         grad = np.zeros_like(x)
         grad += self._a * (x / sa) * self.cell_volume
         np.add.at(grad, self._face_var,
                   self._b * (x[self._face_var] / sb) * self._face_areas)
-        parts = self._parts(x, delta)
         if parts is None:
             return aval + bval, grad, True
         kernel, psi, ssum, energy = parts
@@ -300,7 +343,7 @@ class SmoothedProblem:
                 * self.quad.weights * psi ** (-float(n) - 1.0))
         P = (self._window_gradient if self.dim == 2 else self._dense_gradient)(kernel, coef)
         for d in range(self.dim):
-            grad += self.BT[d] @ P[:, d]
+            grad += self.BT[d] @ P[d]
         return energy + aval + bval, grad, False
 
 
@@ -409,7 +452,8 @@ def initial_guesses(mask, cspec, config, rng):
 
 def _start_record(stop="max_iters"):
     return {"stop": stop, "iterations": 0, "backtracks": 0,
-            "delta_halvings": 0, "unconverged_projections": 0}
+            "delta_halvings": 0, "unconverged_projections": 0,
+            "evaluations": 0}
 
 
 def _stalled(history, window, rel):
@@ -420,17 +464,19 @@ def _stalled(history, window, rel):
 
 
 def _descend(prob, cspec, x0, max_iters):
-    """One projected-descent start.  Returns (projection, history, record):
-    the stop reason, iterations, rejected trial steps, delta halvings, and
-    accepted or final projections that did not converge."""
-    mask = prob.mask
+    """One projected-descent start on inside-cell vectors.  Returns
+    (projection, history, record): the stop reason, iterations, rejected
+    trial steps, delta halvings, accepted or final projections that did not
+    converge, and objective evaluations."""
     rec = _start_record()
+    evaluations = prob.evaluations
+    rim = rim_positions(prob.mask) if cspec.zero_trace else None
 
     def project(x):
-        return project_constraint(prob.to_field(x), cspec, mask)
+        return project_vector(x, cspec, prob.cell_volume, rim)
 
     pres = project(x0)
-    x = prob.to_vector(pres.u)
+    x = pres.u
     # pick delta so the smoothing floor (each atom gains ~delta*atom_scale)
     # contributes a small fraction of the initial total variation
     tv0 = float(row_norms(prob.atom_matrix(x)).sum())
@@ -461,7 +507,7 @@ def _descend(prob, cspec, x0, max_iters):
                 rec["backtracks"] += 1
                 st *= STEP_SHRINK
                 continue
-            x_new = prob.to_vector(pres.u)
+            x_new = pres.u
             f_new = prob.value(x_new, delta)
             if f_new <= val - SUFFICIENT_DECREASE * st * gn2:
                 accepted = True
@@ -489,8 +535,10 @@ def _descend(prob, cspec, x0, max_iters):
         rec["delta_halvings"] += 1
         prob.value(x, delta)   # x is again the last point evaluated
     rec["iterations"] = it
+    rec["evaluations"] = prob.evaluations - evaluations
     pres = project(x)
     rec["unconverged_projections"] += not pres.converged
+    pres.u = prob.to_field(pres.u)
     return pres, history, rec
 
 

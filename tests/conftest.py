@@ -1,5 +1,8 @@
 """Shared fixtures: small domains and quadratures used across the suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,14 @@ def quad128():
 @pytest.fixture(scope="session")
 def quad512():
     return make_quadrature(2, 512)
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    that a child interpreter imports the package under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def indicator(spec, mask):

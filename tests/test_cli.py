@@ -10,6 +10,8 @@ import pytest
 from affinebv.cli import main
 from affinebv.serialize import read_afg
 
+from conftest import src_env
+
 
 @pytest.fixture
 def square_cfg(tmp_path):
@@ -303,7 +305,7 @@ class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "affinebv.cli", "constants", "--dim", "2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "alpha" in proc.stdout
 

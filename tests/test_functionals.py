@@ -20,8 +20,14 @@ from affinebv import (
     truncate,
 )
 import affinebv.functionals as functionals
-from affinebv.errors import AffineBVError
-from affinebv.functionals import clamp_rim, rim_cells
+from affinebv.errors import AffineBVError, GridError
+from affinebv.functionals import (
+    clamp_rim,
+    m_r_vector,
+    project_vector,
+    rim_cells,
+    rim_positions,
+)
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
 
 from conftest import indicator, random_field
@@ -160,12 +166,14 @@ class TestMrSolve:
                                     spec.cell_volume) <= 0.0
 
 
-def _m_r_reference(u, mask, r, tol=1e-10, max_iter=200):
+def _m_r_reference(u, mask, r):
     """The bisection that computed the scale at every step."""
+    return _m_r_reference_values(u.values[mask.inside], r, mask.spec.cell_volume)
+
+
+def _m_r_reference_values(vals, r, h_n, tol=1e-10, max_iter=200):
     from affinebv.functionals import _mr_residual
 
-    vals = u.values[mask.inside]
-    h_n = mask.spec.cell_volume
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         return lo
@@ -256,6 +264,82 @@ class TestMrSolveReference:
                 assert m_r_solve(u, mask, r) == m
 
 
+def _field_from(spec, mask, x):
+    vals = np.zeros(spec.shape)
+    vals[mask.inside] = x
+    return GridFunction(spec, vals)
+
+
+def _g_bracket_holds(vals, m, r, h_n):
+    """g changes sign across m +- delta, with delta 1e-12 of the span or
+    64 ulp of the largest value, whichever is larger."""
+    from affinebv.functionals import _mr_residual
+
+    span = float(vals.max() - vals.min())
+    delta = max(1e-12 * span, 64 * np.spacing(float(np.abs(vals).max())))
+    return (_mr_residual(vals, m - delta, r, h_n) >= 0.0
+            >= _mr_residual(vals, m + delta, r, h_n))
+
+
+class TestMrExhaustion:
+    """The solve stops once the location is resolved, also where the
+    residual test cannot pass, and reports exhaustion instead of hiding it."""
+
+    @pytest.mark.parametrize("s,c", [(1e-6, 3.0), (1e-6, -3.0), (1e6, 3.0),
+                                     (1e6, -3.0)])
+    @pytest.mark.parametrize("r", [1.05, 1.5, 2.0, 3.5, 6.0])
+    def test_large_offset_fields_converge(self, disk64, s, c, r):
+        spec, mask = disk64
+        h_n = spec.cell_volume
+        rng = np.random.default_rng(int(10 * r) + (s > 1))
+        for kind in ("gaussian", "two_valued", "outlier", "cubed"):
+            x = rng.normal(size=mask.n_inside)
+            if kind == "two_valued":
+                x = np.where(rng.random(x.size) < 0.3, 2.0, -1.0)
+            elif kind == "outlier":
+                x[rng.integers(x.size)] = 50.0
+            elif kind == "cubed":
+                x = x ** 3
+            vals = s * x + c
+            m, converged = m_r_vector(vals, r, h_n)
+            assert converged, kind
+            assert vals.min() <= m <= vals.max()
+            assert _g_bracket_holds(vals, m, r, h_n), kind
+            assert m_r_solve(_field_from(spec, mask, vals), mask, r) == m
+
+    def test_exhaustion_flagged(self, disk64, monkeypatch):
+        spec, mask = disk64
+        u = random_field(spec, mask, seed=3, smooth=2)
+        u = u.with_values(np.where(mask.inside, u.values + 0.5, 0.0))
+        vals = u.values[mask.inside]
+        cs = ConstraintSpec(q=1.5, kind="Y", r=2.0)
+        assert m_r_vector(vals, 2.0, spec.cell_volume)[1]
+        assert project_vector(vals, cs, spec.cell_volume).converged
+        monkeypatch.setattr(functionals, "MR_MAX_ITER", 1)
+        assert not m_r_vector(vals, 2.0, spec.cell_volume)[1]
+        assert not project_vector(vals, cs, spec.cell_volume).converged
+        assert not project_constraint(u, cs, mask).converged
+
+    def test_exhaustion_counted_per_start(self, monkeypatch):
+        """Every accepted and final projection of a start whose m_r solves
+        all exhaust counts as unconverged."""
+        from affinebv import make_quadrature, minimize_level
+        from affinebv.minimize import MinimizeConfig
+
+        spec = GridSpec(dim=2, shape=(32, 32), spacing=2.6 / 32,
+                        origin=(-1.3, -1.3))
+        mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0],
+                                "radius": 1.0})
+        monkeypatch.setattr(functionals, "MR_MAX_ITER", 1)
+        res = minimize_level(
+            mask, Weights(0.0, 0.0), ConstraintSpec(q=1.5, kind="Y", r=2.0),
+            config=MinimizeConfig(max_iters=10, n_starts=2, seed=0),
+            quadrature=make_quadrature(2, 64))
+        for rec, hist in zip(res.meta["starts"], res.histories):
+            # history: start, accepted steps, final level
+            assert rec["unconverged_projections"] == len(hist) - 1
+
+
 class TestMrSolveLevels:
     @pytest.mark.parametrize("zero_trace", [False, True], ids=["Y", "Y0"])
     @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -278,7 +362,8 @@ class TestMrSolveLevels:
                 quadrature=make_quadrature(2, 128)).level
 
         shipped = level()
-        monkeypatch.setattr(functionals, "m_r_solve", _m_r_reference)
+        monkeypatch.setattr(functionals, "m_r_vector",
+                            lambda *args: (_m_r_reference_values(*args), True))
         assert shipped == pytest.approx(level(), rel=1e-10)
 
 
@@ -389,15 +474,131 @@ class TestProjection:
 
         def counted(*args):
             calls.append(args)
-            return m_r_solve(*args)
+            return m_r_vector(*args)
 
-        monkeypatch.setattr(functionals, "m_r_solve", counted)
+        monkeypatch.setattr(functionals, "m_r_vector", counted)
         res = project_constraint(u, cs, mask)
         assert res.converged and res.rounds >= 3
         assert len(calls) == res.rounds + 1
         assert np.array_equal(res.u.values, ref.u.values)
         assert (res.rounds, res.norm_residual, res.orth_residual) == (
             ref.rounds, ref.norm_residual, ref.orth_residual)
+
+
+def _project_field(u, spec, mask):
+    """The projection on grid fields, with zero extension, rim clamping,
+    ``lq_norm`` and ``m_r_solve`` on the whole grid: the reference the
+    inside-cell vector projection must equal bit for bit."""
+    from affinebv.functionals import (
+        PROJECTION_MAX_ROUNDS,
+        PROJECTION_TOL,
+        ProjectionResult,
+    )
+    from affinebv.grid import zero_extend
+
+    v = zero_extend(u, mask)
+    if spec.zero_trace:
+        v = clamp_rim(v, mask)
+    norm = lq_norm(v, mask, spec.q)
+    if norm == 0.0:
+        raise AffineBVError("cannot project the zero field onto the constraint set")
+    if spec.kind == "X":
+        v = v.with_values(v.values / norm)
+        return ProjectionResult(v, True, abs(lq_norm(v, mask, spec.q) - 1.0),
+                                0.0, 0)
+    s = m_r_solve(v, mask, spec.r)
+    for rounds in range(1, PROJECTION_MAX_ROUNDS + 1):
+        v = v.with_values(np.where(mask.inside, v.values - s, 0.0))
+        if spec.zero_trace:
+            v = clamp_rim(v, mask)
+        norm = lq_norm(v, mask, spec.q)
+        if norm == 0.0:
+            raise AffineBVError("field collapsed to zero during Y projection")
+        v = v.with_values(v.values / norm)
+        s = m_r_solve(v, mask, spec.r)
+        orth = abs(s)
+        nrm = abs(lq_norm(v, mask, spec.q) - 1.0)
+        scale = max(float(np.max(np.abs(v.values))), 1e-300)
+        if orth <= PROJECTION_TOL * scale and nrm <= PROJECTION_TOL:
+            return ProjectionResult(v, True, nrm, orth, rounds)
+    return ProjectionResult(v, False, nrm, orth, PROJECTION_MAX_ROUNDS)
+
+
+_SPECS = ([ConstraintSpec(q=q, kind="X", zero_trace=zt)
+           for q in (1.0, 1.5, 2.0) for zt in (False, True)]
+          + [ConstraintSpec(q=q, kind="Y", r=r, zero_trace=zt)
+             for q in (1.0, 1.5, 2.0) for r in (1.0, 2.0, 3.0)
+             for zt in (False, True)])
+
+
+class TestProjectionVector:
+    """project_vector on the inside-cell values equals the projection on
+    grid fields bit for bit, through project_constraint and directly."""
+
+    @pytest.mark.parametrize("domain", ["disk", "square"])
+    @pytest.mark.parametrize("cs", _SPECS, ids=lambda c: (
+        f"{c.kind}{'0' if c.zero_trace else ''}-q{c.q}-r{c.r}"))
+    def test_equals_field_projection(self, disk64, square64, domain, cs):
+        spec, mask = disk64 if domain == "disk" else square64
+        rim = rim_positions(mask)
+        for seed in range(3):
+            u = random_field(spec, mask, seed=seed, smooth=seed)
+            u = u.with_values(np.where(mask.inside, u.values + 0.3 * seed, 0.0))
+            want = _project_field(u, cs, mask)
+            got = project_constraint(u, cs, mask)
+            assert np.array_equal(got.u.values, want.u.values)
+            assert (got.converged, got.norm_residual, got.orth_residual,
+                    got.rounds) == (want.converged, want.norm_residual,
+                                    want.orth_residual, want.rounds)
+            x = u.values[mask.inside]
+            vec = project_vector(x, cs, spec.cell_volume, rim)
+            assert np.array_equal(vec.u, want.u.values[mask.inside])
+            assert np.array_equal(x, u.values[mask.inside])   # not mutated
+            assert (vec.converged, vec.norm_residual, vec.orth_residual,
+                    vec.rounds) == (want.converged, want.norm_residual,
+                                    want.orth_residual, want.rounds)
+
+    @pytest.mark.parametrize("cs", [ConstraintSpec(q=1.5, kind="X"),
+                                    ConstraintSpec(q=1.5, kind="Y", r=2.0),
+                                    ConstraintSpec(q=1.5, kind="X", zero_trace=True)])
+    def test_zero_field_raises_as_before(self, square64, cs):
+        spec, mask = square64
+        # zero, or nonzero only on the rim, which the zero-trace clamp zeroes
+        vals = np.where(rim_cells(mask), 1.0, 0.0) if cs.zero_trace else np.zeros(spec.shape)
+        u = GridFunction(spec, vals)
+        with pytest.raises(AffineBVError) as want:
+            _project_field(u, cs, mask)
+        with pytest.raises(AffineBVError) as got:
+            project_constraint(u, cs, mask)
+        assert str(got.value) == str(want.value)
+        assert "zero field" in str(got.value)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_collapse_raises_as_before(self, disk64, r):
+        spec, mask = disk64
+        cs = ConstraintSpec(q=1.0, kind="Y", r=r)
+        # a constant: its m_r shift leaves nothing
+        u = GridFunction(spec, np.where(mask.inside, 2.0, 0.0))
+        with pytest.raises(AffineBVError) as want:
+            _project_field(u, cs, mask)
+        with pytest.raises(AffineBVError) as got:
+            project_constraint(u, cs, mask)
+        assert str(got.value) == str(want.value)
+        assert "collapsed" in str(got.value)
+
+    def test_non_finite_values_rejected(self, square64):
+        spec, mask = square64
+        x = np.ones(mask.n_inside)
+        x[5] = np.inf
+        with pytest.raises(GridError):
+            project_vector(x, ConstraintSpec(q=1.0), spec.cell_volume)
+
+    def test_rim_positions(self, disk64):
+        spec, mask = disk64
+        x = np.zeros(mask.n_inside)
+        x[rim_positions(mask)] = 1.0
+        assert np.array_equal(_field_from(spec, mask, x).values,
+                              rim_cells(mask).astype(float))
 
 
 def _project_y_twice_per_round(u, spec, mask):

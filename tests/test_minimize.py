@@ -36,7 +36,7 @@ from affinebv.minimize import (
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS, covariance
 from affinebv.verify import square_domain
 
-from conftest import aligned_square, random_field
+from conftest import aligned_square, random_field, src_env
 
 
 class TestGradient:
@@ -170,7 +170,7 @@ class ParentFormula(SmoothedProblem):
     def value(self, x, delta):
         _, aval, _, bval = self._weight_parts(x, delta)
         V = self.atom_matrix(x)
-        if self._degenerate(V):
+        if self._degenerate(V.T, row_norms(V)):
             return aval + bval
         return self._reference_parts(V, delta)[-1] + aval + bval
 
@@ -181,7 +181,7 @@ class ParentFormula(SmoothedProblem):
         np.add.at(grad, self._face_var,
                   self._b * (x[self._face_var] / sb) * self._face_areas)
         V = self.atom_matrix(x)
-        if self._degenerate(V):
+        if self._degenerate(V.T, row_norms(V)):
             return aval + bval, grad, True
         D, S, psi, ssum, energy = self._reference_parts(V, delta)
         n = self.dim
@@ -363,7 +363,7 @@ class TestStartRecords:
         assert res.as_dict()["starts"] == starts
 
     def test_degenerate_start_reported(self, monkeypatch):
-        monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, V: True)
+        monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, W, r: True)
         _, mask = aligned_square(48)
         res = self._run(mask)
         assert res.degenerate and res.meta["failed"]
@@ -380,11 +380,79 @@ class TestStartRecords:
 
     def test_degenerate_start_has_no_level(self, monkeypatch):
         # a degenerate start's history ends in a smoothed value, not a level
-        monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, V: True)
+        monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, W, r: True)
         _, mask = aligned_square(48)
         out = self._run(mask).as_dict()
         assert math.isnan(out["level"])
         assert out["start_levels"] == [None, None]
+
+
+    def test_evaluations_counted(self, monkeypatch):
+        """A start evaluates its first point, every trial point that
+        projected and its point again after each delta halving."""
+        calls = {"_energy_parts": 0, "project_vector": 0}
+        orig_parts = SmoothedProblem._energy_parts
+        orig_project = minimize_module.project_vector
+
+        def parts(self, *args):
+            calls["_energy_parts"] += 1
+            return orig_parts(self, *args)
+
+        def project(*args):
+            out = orig_project(*args)
+            calls["project_vector"] += 1
+            return out
+
+        monkeypatch.setattr(SmoothedProblem, "_energy_parts", parts)
+        monkeypatch.setattr(minimize_module, "project_vector", project)
+        # a short stall window makes the descent halve delta
+        monkeypatch.setattr(minimize_module, "STALL_WINDOW", 5)
+        monkeypatch.setattr(minimize_module, "STALL_REL", 1e-2)
+        _, mask = aligned_square(48)
+        res = minimize_level(
+            mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
+            config=MinimizeConfig(seed=0, max_iters=60, n_starts=1),
+            quadrature=make_quadrature(2, 256))
+        (rec,) = res.meta["starts"]
+        assert rec["delta_halvings"] > 0
+        # the start's and the final projection are not trial points
+        trials = calls["project_vector"] - 2
+        assert rec["evaluations"] == 1 + trials + rec["delta_halvings"]
+        assert rec["evaluations"] == calls["_energy_parts"]
+        # no projection failed: every trial was accepted or rejected
+        assert trials == len(res.histories[0]) - 2 + rec["backtracks"]
+
+
+class TestBenchmarkProblems:
+    """The two solves of the minimize_levels benchmark at a 60-iteration
+    budget, pinned to the levels and start records recorded before the
+    descent moved onto inside-cell vectors."""
+
+    @pytest.mark.parametrize("problem,level,backtracks", [
+        ("cA", 3.993451776160399, [62, 62]),
+        ("dA", 10.681744743659777, [61, 61]),
+    ])
+    def test_levels_and_records(self, problem, level, backtracks):
+        if problem == "cA":
+            spec = GridSpec(dim=2, shape=(128, 128), spacing=2.0 / 128,
+                            origin=(-0.5, -0.5))
+            mask = make_mask(spec, {"shape": "box",
+                                    "extents": [[0.0, 1.0], [0.0, 1.0]]})
+            cs = ConstraintSpec(q=1.0, kind="X")
+        else:
+            spec, mask = _ball_domain(2, 64)
+            cs = ConstraintSpec(q=1.5, kind="Y", r=2.0)
+        res = minimize_level(mask, Weights(0.0, 0.0), cs,
+                             config=MinimizeConfig(seed=0, max_iters=60, n_starts=2),
+                             quadrature=make_quadrature(2, 256),
+                             backend=CELL_GRADIENT)
+        assert res.level == pytest.approx(level, rel=1e-12, abs=0)
+        records = [{k: rec[k] for k in ("stop", "iterations", "backtracks",
+                                         "delta_halvings")}
+                   for rec in res.meta["starts"]]
+        assert records == [{"stop": "max_iters", "iterations": 60,
+                            "backtracks": b, "delta_halvings": 0}
+                           for b in backtracks]
 
 
 def _windowed_psi_reference(V, directions, eps):
@@ -445,7 +513,7 @@ class TestWindowedKernel:
         M, V, eps = case
         _, mask = aligned_square(8)
         prob = SmoothedProblem(mask, Weights(0.0, 0.0), make_quadrature(2, M))
-        _, psi = prob._window_psi(V, eps)
+        _, psi = prob._window_psi(np.ascontiguousarray(V.T), row_norms(V), eps)
         want = _windowed_psi_reference(V, prob.quad.directions, eps)
         np.testing.assert_allclose(psi, want, rtol=1e-12, atol=0)
 
@@ -610,5 +678,5 @@ def test_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import affinebv, sys; assert 'scipy.optimize' not in sys.modules"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
