@@ -20,26 +20,30 @@ from .energy import (
 )
 from .errors import AffineBVError, ConfigError, GridError, ShapeError
 from .functionals import ConstraintSpec, Weights
-from .grid import GridFunction, GridSpec, make_mask, mollify, parse_shape
+from .grid import SHAPE_KEYS, GridFunction, GridSpec, make_mask, mollify, parse_shape
 from .minimize import MinimizeConfig, minimize_level
 from .oracle import EllipsoidBody, PolygonBody, energy_body, psi_body
 from .serialize import read_afg, write_afg
 from .variation import CELL_GRADIENT, FACE_ATOMS
 from .verify import VerifyConfig, run_suite
 
-KNOWN_SHAPE_KEYS = {"shape", "center", "radius", "matrix", "vertices",
-                    "extents", "grid_extent", "a_const", "b_const"}
-
 
 def _load_domain(path):
+    """A shape descriptor that :func:`parse_shape` accepts, holding no key
+    beyond its shape's own and ``grid_extent``, ``a_const``, ``b_const``."""
     try:
         with open(path) as f:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read domain config {path}: {e}") from e
-    unknown = set(cfg) - KNOWN_SHAPE_KEYS
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"domain config {path} must be a JSON object")
+    parse_shape(cfg)
+    unknown = set(cfg) - {"shape", *SHAPE_KEYS[cfg["shape"]], "grid_extent",
+                          "a_const", "b_const"}
     if unknown:
-        raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys for a {cfg['shape']} in {path}: "
+                          f"{sorted(unknown)}")
     return cfg
 
 
@@ -92,6 +96,8 @@ def _json_default(obj):
 
 
 def cmd_constants(args):
+    if args.dim < 2:
+        raise ConfigError(f"--dim must be >= 2, got {args.dim}")
     c = constants(args.dim)
     payload = {k: (f"{v:.17g}" if isinstance(v, float) else v)
                for k, v in c.as_dict().items()}
@@ -169,7 +175,12 @@ def cmd_oracle(args):
     elif args.body == "ellipse":
         if not args.matrix:
             raise ConfigError("--matrix is required for --body ellipse")
-        M = np.asarray(json.loads(args.matrix), dtype=float)
+        try:   # a JSONDecodeError is a ValueError
+            M = np.asarray(json.loads(args.matrix), dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"--matrix is not a JSON number array: {e}") from e
+        if M.ndim != 2 or not np.isfinite(M).all():
+            raise ConfigError(f"--matrix must be a finite matrix, got {args.matrix}")
         body = EllipsoidBody(dim=len(M), matrix=M)
     else:
         raise ConfigError(f"unknown body {args.body!r}")
@@ -249,6 +260,8 @@ def main(argv=None):
     # argparse exits 2 on bad usage, matching the config-error contract
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "grid", 1) < 1:
+            raise ConfigError(f"--grid must be >= 1, got {args.grid}")
         return args.fn(args)
     except (ConfigError, ShapeError, GridError) as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -175,7 +175,8 @@ def energy_from_psi(psi, quadrature):
         return EnergyBreakdown(value=0.0, psi=psi, degenerate=True,
                                quadrature_size=quadrature.size)
     n = quadrature.dim
-    # exp/log form keeps psi^(-n) finite-range for tiny psi in 3D
+    # psi ** -n overflows at the same psi; the exp/log form stays because
+    # the reported energies carry its rounding
     log_psi = np.log(psi)
     s = quadrature.integrate(np.exp(-n * log_psi))
     value = constants(n).alpha * s ** (-1.0 / n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import affine_energy_extended
 from .errors import AffineBVError, ConfigError, GridError
-from .grid import GridFunction, _check_same_grid, extract_trace
+from .grid import GridFunction, _check_same_grid, check_finite, extract_trace, lq_vector
 from .variation import CELL_GRADIENT, compute_atoms, total_variation
 
 # m_r Newton solve: relative residual accepted once the step is resolved;
@@ -81,7 +81,6 @@ class ConstraintSpec:
 class TruncationPair:
     """Split u = T_h u + R_h u with |T_h u| <= h, exact pointwise."""
 
-    level: float
     truncated: GridFunction
     remainder: GridFunction
 
@@ -90,8 +89,7 @@ def truncate(u, h):
     if not h > 0:
         raise AffineBVError(f"truncation level must be > 0, got {h}")
     t = np.clip(u.values, -h, h)
-    return TruncationPair(level=float(h),
-                          truncated=u.with_values(t),
+    return TruncationPair(truncated=u.with_values(t),
                           remainder=u.with_values(u.values - t))
 
 
@@ -213,17 +211,6 @@ def project_constraint(u, spec, mask):
     return res
 
 
-def _lq(x, q, cell_volume):
-    # lq_norm's arithmetic on the inside-cell values
-    return float(np.sum(np.abs(x) ** q) * cell_volume) ** (1.0 / q)
-
-
-def _finite(x):
-    if not np.isfinite(x).all():
-        raise GridError("field contains non-finite values")
-    return x
-
-
 def project_vector(x, spec, cell_volume, rim=None):
     """Project the inside-cell values ``x`` onto X or Y; ``rim`` holds the
     positions of the rim cells in ``x``, zeroed for the zero-trace variants.
@@ -233,31 +220,31 @@ def project_vector(x, spec, cell_volume, rim=None):
     non-convergence, of the rounds or of an m_r solve, is flagged, never
     silent.  Non-finite values raise :class:`GridError`.
     """
-    v = _finite(x)
+    v = check_finite(x)
     if spec.zero_trace:
         v = v.copy()
         v[rim] = 0.0
-    norm = _lq(v, spec.q, cell_volume)
+    norm = lq_vector(v, spec.q, cell_volume)
     if norm == 0.0:
         raise AffineBVError("cannot project the zero field onto the constraint set")
     if spec.kind == "X":
-        v = _finite(v / norm)
-        return ProjectionResult(v, True, abs(_lq(v, spec.q, cell_volume) - 1.0),
+        v = check_finite(v / norm)
+        return ProjectionResult(v, True, abs(lq_vector(v, spec.q, cell_volume) - 1.0),
                                 0.0, 0)
     s, solved = m_r_vector(v, spec.r, cell_volume)
     for rounds in range(1, PROJECTION_MAX_ROUNDS + 1):
-        v = _finite(v - s)
+        v = check_finite(v - s)
         if spec.zero_trace:
             v[rim] = 0.0
-        norm = _lq(v, spec.q, cell_volume)
+        norm = lq_vector(v, spec.q, cell_volume)
         if norm == 0.0:
             raise AffineBVError("field collapsed to zero during Y projection")
-        v = _finite(v / norm)
+        v = check_finite(v / norm)
         # the check's shift is the next round's shift
         s, ok = m_r_vector(v, spec.r, cell_volume)
         solved = solved and ok
         orth = abs(s)
-        nrm = abs(_lq(v, spec.q, cell_volume) - 1.0)
+        nrm = abs(lq_vector(v, spec.q, cell_volume) - 1.0)
         scale = max(float(np.max(np.abs(v))), 1e-300)
         if orth <= PROJECTION_TOL * scale and nrm <= PROJECTION_TOL:
             return ProjectionResult(v, solved, nrm, orth, rounds)

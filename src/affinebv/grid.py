@@ -90,9 +90,7 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.spec.shape:
             raise GridError(f"values shape {v.shape} != grid shape {self.spec.shape}")
-        if not np.all(np.isfinite(v)):
-            raise GridError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", check_finite(v))
 
     @staticmethod
     def zeros(spec):
@@ -200,7 +198,7 @@ def parse_shape(desc):
     and builds its sums one component at a time; the normal takes ``(K,
     dim)`` points."""
     kind = desc.get("shape")
-    if kind not in SHAPE_KEYS:
+    if not isinstance(kind, str) or kind not in SHAPE_KEYS:
         raise ShapeError(f"shape must be one of {sorted(SHAPE_KEYS)}, "
                          f"got {kind!r}")
     v = {}
@@ -409,10 +407,21 @@ def resample_affine(u, T, out_spec=None):
     return GridFunction(out_spec, out.reshape(out_spec.shape))
 
 
+def check_finite(v):
+    """``v``, or :class:`GridError` if a value is non-finite."""
+    if not np.isfinite(v).all():
+        raise GridError("field contains non-finite values")
+    return v
+
+
+def lq_vector(x, q, cell_volume):
+    """L^q norm of cell values ``x``: (sum |x|^q h^n)^(1/q)."""
+    return float(np.sum(np.abs(x) ** q) * cell_volume) ** (1.0 / q)
+
+
 def lq_norm(u, mask, q):
-    """L^q norm over inside cells: (sum |u|^q h^n)^(1/q)."""
+    """L^q norm over inside cells: :func:`lq_vector` of their values."""
     _check_same_grid(u, mask)
     if q < 1:
         raise GridError(f"q must be >= 1, got {q}")
-    v = np.abs(u.values[mask.inside])
-    return float(np.sum(v ** q) * u.spec.cell_volume) ** (1.0 / q)
+    return lq_vector(u.values[mask.inside], q, u.spec.cell_volume)

@@ -42,15 +42,17 @@ import numpy as np
 from scipy import sparse
 
 from .energy import COV_EIGEN_EPS, constants
-from .errors import AffineBVError, ConfigError, GridError
+from .errors import AffineBVError, ConfigError
 from .functionals import phi_affine, project_vector, rim_positions
 from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
     ATOM_ELISION,
     CELL_GRADIENT,
     AtomStencil,
+    check_finite_atoms,
     covariance,
     covariance_eigen_ratio,
+    eigen_ratio,
     total_variation,
 )
 
@@ -197,12 +199,9 @@ class SmoothedProblem:
         with components ``W`` (dim, N) and norms ``r``: atoms lighter than
         ``ATOM_ELISION`` are dropped, and M = sum v v^T / r comes from the
         norms the objective uses."""
-        if not np.isfinite(r).all() and not np.isfinite(W).all():
-            raise GridError("atoms contain non-finite components")
+        check_finite_atoms(W, r)
         inv = np.divide(1.0, r, out=np.zeros_like(r), where=r >= ATOM_ELISION)
-        M = (W * inv) @ W.T
-        tr = float(np.trace(M))
-        return tr <= 0 or float(np.linalg.eigvalsh(M)[0] / tr) < COV_EIGEN_EPS
+        return eigen_ratio((W * inv) @ W.T) < COV_EIGEN_EPS
 
     # -- objective ---------------------------------------------------------
     def _energy_parts(self, W, r, delta):
@@ -381,7 +380,7 @@ def check_gradient(prob, x, delta, n_coords=20, rng=None):
 
 # -- initial guesses --------------------------------------------------------
 
-def _inscribed_ellipsoid_field(mask, rng, round_ball=False, sigma_cells=2.0):
+def _inscribed_ellipsoid_field(mask, rng, round_ball=False):
     """Mollified indicator of an inscribed ball / randomly oriented
     ellipsoid, a natural near-extremal profile."""
     spec = mask.spec
@@ -396,7 +395,7 @@ def _inscribed_ellipsoid_field(mask, rng, round_ball=False, sigma_cells=2.0):
         A = q @ np.diag(s)
     _, inside, _ = parse_shape({"shape": "ellipsoid", "center": c, "matrix": A})
     u = GridFunction(spec, np.where(mask.inside & inside(spec.axes()), 1.0, 0.0))
-    return mollify(u, sigma_cells * spec.spacing)
+    return mollify(u, 2.0 * spec.spacing)
 
 
 def _inradius(mask, c):
@@ -405,12 +404,12 @@ def _inradius(mask, c):
     return float(np.min(row_norms(fc - c)))
 
 
-def _random_bump_field(mask, rng, sigma_cells=3.0):
+def _random_bump_field(mask, rng):
     noise = GridFunction(mask.spec, rng.normal(size=mask.spec.shape))
-    return zero_extend(mollify(noise, sigma_cells * mask.spec.spacing), mask)
+    return zero_extend(mollify(noise, 3.0 * mask.spec.spacing), mask)
 
 
-def _two_bump_field(mask, rng, sigma_cells=2.0):
+def _two_bump_field(mask, rng):
     """Antisymmetric two-bump profile, a natural start for Y."""
     spec = mask.spec
     pts = spec.cell_centers()[mask.inside]
@@ -424,12 +423,12 @@ def _two_bump_field(mask, rng, sigma_cells=2.0):
     bump = lambda p0: np.exp(-sum((x - pk) ** 2 for x, pk in zip(xs, p0)) / r2)
     vals = bump(c + off) - bump(c - off)
     u = GridFunction(spec, np.where(mask.inside, vals, 0.0))
-    return mollify(u, sigma_cells * spec.spacing)
+    return mollify(u, 2.0 * spec.spacing)
 
 
-def _domain_indicator_field(mask, sigma_cells=1.5):
+def _domain_indicator_field(mask):
     u = GridFunction(mask.spec, mask.inside.astype(float))
-    return zero_extend(mollify(u, sigma_cells * mask.spec.spacing), mask)
+    return zero_extend(mollify(u, 1.5 * mask.spec.spacing), mask)
 
 
 def initial_guesses(mask, cspec, config, rng):

@@ -2,8 +2,10 @@
 
 These are evaluated independently of the grid pipeline and anchor the
 verification suite: per-direction boundary variation of convex bodies and
-the resulting affine energies.  The ellipsoid closed form is validated
-against dense boundary quadrature before use (``self_check``).
+the resulting affine energies.  ``energy_body`` gates every ellipsoid
+energy against its closed form; ``self_check``, which the tests run,
+compares the closed-form Psi with dense boundary quadrature on random
+matrices.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ class PolygonBody:
 
 @dataclass(frozen=True)
 class EllipsoidBody:
-    """Image of the unit ball under an invertible matrix, plus a center."""
+    """Image of the unit ball under an invertible matrix.  No center: Psi,
+    and with it the energy, is translation-invariant."""
 
     dim: int
     matrix: np.ndarray
-    center: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=float)
@@ -62,8 +64,6 @@ class EllipsoidBody:
         if abs(np.linalg.det(A)) < 1e-300:
             raise ShapeError("singular ellipsoid matrix")
         object.__setattr__(self, "matrix", A)
-        c = np.zeros(self.dim) if self.center is None else np.asarray(self.center, float)
-        object.__setattr__(self, "center", c)
 
 
 def psi_polygon(body, xi):

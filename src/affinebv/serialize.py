@@ -7,6 +7,7 @@ values as f64 in row-major order.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -29,17 +30,35 @@ def write_afg(path, u):
 
 
 def read_afg(path):
-    with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise GridError(f"{path}: not an AFG1 file")
-        (dim,) = struct.unpack("<I", f.read(4))
-        if dim not in (2, 3):
-            raise GridError(f"{path}: unsupported dim {dim}")
-        shape = struct.unpack(f"<{dim}I", f.read(4 * dim))
-        (spacing,) = struct.unpack("<d", f.read(8))
-        origin = struct.unpack(f"<{dim}d", f.read(8 * dim))
-        n = int(np.prod(shape))
-        vals = np.frombuffer(f.read(8 * n), dtype="<f8", count=n).reshape(shape)
+    """The field in an AFG1 file; :class:`GridError` if the file cannot be
+    read, its header is short or invalid, or its payload is not exactly the
+    cell values."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(8) != MAGIC:
+                raise GridError(f"{path}: not an AFG1 file")
+            (dim,) = _unpack(f, "<I", path)
+            if dim not in (2, 3):
+                raise GridError(f"{path}: unsupported dim {dim}")
+            shape = _unpack(f, f"<{dim}I", path)
+            (spacing,) = _unpack(f, "<d", path)
+            origin = _unpack(f, f"<{dim}d", path)
+            payload = f.read()
+    except OSError as e:
+        raise GridError(f"cannot read {path}: {e}") from e
     spec = GridSpec(dim=dim, shape=shape, spacing=spacing, origin=origin)
+    if len(payload) != 8 * math.prod(shape):
+        raise GridError(f"{path}: {len(payload)} payload bytes for "
+                        f"{math.prod(shape)} cells")
+    vals = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return GridFunction(spec, vals.copy())
+
+
+def _unpack(f, fmt, path):
+    """The values of one ``fmt`` record read from ``f``."""
+    size = struct.calcsize(fmt)
+    data = f.read(size)
+    if len(data) != size:
+        raise GridError(f"{path}: truncated AFG1 header")
+    return struct.unpack(fmt, data)
 

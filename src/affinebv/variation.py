@@ -45,10 +45,7 @@ class VariationAtoms:
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float).reshape(-1, self.dim)
         mass = row_norms(a)
-        # finite components above about 1e154 overflow their mass to inf, so
-        # the components decide what is non-finite
-        if not np.isfinite(mass).all() and not np.isfinite(a).all():
-            raise GridError("atoms contain non-finite components")
+        check_finite_atoms(a, mass)
         keep = mass >= ATOM_ELISION
         if not keep.all():
             a, mass = a[keep], mass[keep]
@@ -70,6 +67,14 @@ class VariationAtoms:
             backend=self.backend,
             source=self.source,
         )
+
+
+def check_finite_atoms(components, masses):
+    """Raise :class:`GridError` if an atom component is non-finite.  Finite
+    components above about 1e154 overflow their mass to inf, so only where
+    a mass is non-finite do the components decide."""
+    if not np.isfinite(masses).all() and not np.isfinite(components).all():
+        raise GridError("atoms contain non-finite components")
 
 
 def _boundary_rows(values, normals, areas):
@@ -245,11 +250,16 @@ def covariance(atoms):
     return (v.T * (1.0 / atoms.masses())) @ v
 
 
-def covariance_eigen_ratio(atoms):
-    """Smallest eigenvalue over trace of the variation covariance; 0 for
-    empty atom sets.  The quadrature-independent degeneracy detector."""
-    M = covariance(atoms)
+def eigen_ratio(M):
+    """Smallest eigenvalue over trace of a variation covariance M; 0 when
+    the trace is not positive.  The quadrature-independent degeneracy
+    detector."""
     tr = float(np.trace(M))
     if tr <= 0:
         return 0.0
     return float(np.linalg.eigvalsh(M)[0] / tr)
+
+
+def covariance_eigen_ratio(atoms):
+    """:func:`eigen_ratio` of the atoms' covariance; 0 for empty atom sets."""
+    return eigen_ratio(covariance(atoms))

@@ -9,13 +9,14 @@ into a report whose pass/fail drives the CLI exit code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import __version__
 from .energy import (
+    COV_EIGEN_EPS,
     affine_energy_boundary,
     affine_energy_extended,
     affine_energy_interior,
@@ -64,30 +65,21 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "corpus": self.corpus,
-            "count": self.count,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _record(slack, **fields):
     """A :class:`CheckRecord` whose ``details["slack"]`` is the smallest
-    margin over the check's own pass conditions, >= 0 exactly when it passes
-    (whatever ``worst_margin`` means for that check).  A check that tested
-    nothing (``count == 0``) passes vacuously: ``details["vacuous"]`` is set
-    and its slack is 0."""
+    margin over the check's own pass conditions (whatever ``worst_margin``
+    means for that check); it passes exactly when the slack is >= 0.  A
+    check that tested nothing (``count == 0``) passes vacuously:
+    ``details["vacuous"]`` is set and its slack is 0."""
     details = dict(fields.pop("details", {}))
     if fields["count"] == 0:
         details["vacuous"] = True
         slack = 0.0
     details["slack"] = float(slack)
-    return CheckRecord(details=details, **fields)
+    return CheckRecord(passed=bool(slack >= 0), details=details, **fields)
 
 
 @dataclass
@@ -107,15 +99,7 @@ class VerifyConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def as_dict(self):
-        return {
-            "grid": self.grid,
-            "dirs": self.dirs,
-            "seed": self.seed,
-            "n_fields": self.n_fields,
-            "n_maps": self.n_maps,
-            "suites": list(self.suites),
-            "forced_tolerance": self.forced_tolerance,
-        }
+        return {**asdict(self), "suites": list(self.suites)}
 
 
 @dataclass
@@ -149,13 +133,12 @@ def square_domain(grid):
     return spec, mask
 
 
-def disk_domain(grid, radius=1.0):
-    """Disk of the given radius centered in a grid with ~25% margin."""
-    half = 1.3 * radius
-    spec = GridSpec(dim=2, shape=(grid, grid), spacing=2 * half / grid,
-                    origin=(-half, -half))
+def disk_domain(grid):
+    """Unit disk centered in a [-1.3, 1.3]^2 grid."""
+    spec = GridSpec(dim=2, shape=(grid, grid), spacing=2.6 / grid,
+                    origin=(-1.3, -1.3))
     mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0],
-                            "radius": radius})
+                            "radius": 1.0})
     return spec, mask
 
 
@@ -204,7 +187,6 @@ def check_sobolev_zhang(corpus, mask, quadrature, backend=CELL_GRADIENT,
     worst = np.inf
     count = 0
     details = {}
-    passed = True
     for name, u in corpus:
         e = affine_energy_extended(u, mask, backend, quadrature)
         nrm = lq_norm(u, mask, q)
@@ -215,8 +197,6 @@ def check_sobolev_zhang(corpus, mask, quadrature, backend=CELL_GRADIENT,
         count += 1
         if name in equality_cases:
             details[name] = ratio
-            passed &= (1 - tolerance) <= ratio <= upper
-    passed &= (count == 0) or (worst >= 1 - tolerance)
     # details holds the equality-case ratios; their lower bound is in worst
     slack = min([worst - (1 - tolerance)] + [upper - r for r in details.values()])
     return _record(
@@ -224,8 +204,7 @@ def check_sobolev_zhang(corpus, mask, quadrature, backend=CELL_GRADIENT,
         statement="sharp * ||u||_{n/(n-1)} <= E(ext); near-equality at ellipsoids",
         corpus=f"{count} fields on {mask.descriptor.get('shape')}",
         count=count, worst_margin=float(worst if count else 0.0),
-        tolerance=tolerance, passed=bool(passed), slack=slack,
-        details=details,
+        tolerance=tolerance, slack=slack, details=details,
     )
 
 
@@ -258,8 +237,6 @@ def check_comparisons(corpus, mask, quadrature, tolerance=1e-3,
         scale = max(e_ext.value, 1e-30)
         c3_worst = max(c3_worst,
                        (e_int.value + e_bdy.value - e_ext.value) / scale)
-    passed = (c1_worst <= tolerance and c2_worst <= equality_tol
-              and c3_worst <= tolerance)
     return _record(
         name="comparisons",
         statement="E(ext) <= TV + trace; E(ext) = E(int) at zero trace; "
@@ -267,7 +244,7 @@ def check_comparisons(corpus, mask, quadrature, tolerance=1e-3,
         corpus=f"{count} fields on {mask.descriptor.get('shape')}",
         count=count,
         worst_margin=float(max(c1_worst, c2_worst, c3_worst)),
-        tolerance=tolerance, passed=bool(passed),
+        tolerance=tolerance,
         slack=min(tolerance - c1_worst, equality_tol - c2_worst,
                   tolerance - c3_worst),
         details={"c1_worst": c1_worst, "c2_worst": c2_worst,
@@ -302,8 +279,7 @@ def check_superadditivity(corpus, mask, quadrature, tolerance=1e-3,
         statement="E(u) >= E(T_h u) + E(R_h u)",
         corpus=f"{count} (field, level) pairs",
         count=count, worst_margin=float(worst if count else 0.0),
-        tolerance=tolerance, passed=bool(count == 0 or worst <= tolerance),
-        slack=tolerance - worst,
+        tolerance=tolerance, slack=tolerance - worst,
     )
 
 
@@ -335,14 +311,12 @@ def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0):
             resample_worst = max(resample_worst, abs(e2 - e0) / e0)
         except AffineBVError:
             pass  # support escaped the grid; the atom path already covered T
-    passed = (atom_worst <= AFFINE_ATOM_TOL
-              and resample_worst <= AFFINE_RESAMPLE_TOL)
     return _record(
         name="affine_invariance",
         statement="E(u o T) = E(u) for det T = 1",
         corpus=f"{count} (field, map) pairs",
         count=count, worst_margin=float(max(atom_worst, resample_worst)),
-        tolerance=AFFINE_ATOM_TOL, passed=bool(passed),
+        tolerance=AFFINE_ATOM_TOL,
         slack=min(AFFINE_ATOM_TOL - atom_worst,
                   AFFINE_RESAMPLE_TOL - resample_worst),
         details={"atom_worst": atom_worst, "resample_worst": resample_worst},
@@ -371,30 +345,28 @@ def check_wirtinger_gap(grid=128, dirs=256):
 
     flags = (e.degenerate and e.value == 0.0 and not e_ctrl.degenerate
              and e_ctrl.value > 0)
-    passed = flags and nrm > 0.5 * 0.3 and eig < 1e-12
     # a failed yes/no condition counts as a full violation
-    slack = min(1e-12 - eig, nrm - 0.5 * 0.3) if flags else -1.0
+    slack = min(COV_EIGEN_EPS - eig, nrm - 0.5 * 0.3) if flags else -1.0
     return _record(
         name="wirtinger_gap",
         statement="no constant A with A ||u - mean||_q <= E(int): "
                   "single-direction counterexample",
         corpus="sin(pi x) on the unit square; x + y^2 negative control",
-        count=2, worst_margin=float(eig), tolerance=1e-12,
-        passed=bool(passed), slack=slack,
+        count=2, worst_margin=float(eig), tolerance=COV_EIGEN_EPS, slack=slack,
         details={"energy": e.value, "centered_l1": nrm,
                  "eigen_ratio": eig, "control_energy": e_ctrl.value},
     )
 
 
-def check_huang_li(corpus, mask, quadrature, tolerance=1e-2,
-                   backend=CELL_GRADIENT):
+def check_huang_li(corpus, mask, quadrature, tolerance=1e-2):
     """d0 * min_T TV(u o T) <= E(ext) on every corpus field."""
     consts = constants(mask.spec.dim)
     worst = -np.inf
     count = 0
     details = {}
     for name, u in corpus:
-        atoms = compute_atoms(u, mask, backend=backend, include_boundary=True)
+        atoms = compute_atoms(u, mask, backend=CELL_GRADIENT,
+                              include_boundary=True)
         e = energy_of_atoms(atoms, quadrature).value
         if e == 0:
             continue
@@ -411,8 +383,7 @@ def check_huang_li(corpus, mask, quadrature, tolerance=1e-2,
         statement="d0 * min_{det T = 1} TV(u o T) <= E(ext)",
         corpus=f"{count} fields",
         count=count, worst_margin=float(worst if count else 0.0),
-        tolerance=tolerance, passed=bool(count == 0 or worst <= tolerance),
-        slack=tolerance - worst, details=details,
+        tolerance=tolerance, slack=tolerance - worst, details=details,
     )
 
 
@@ -433,7 +404,7 @@ def run_suite(config=None):
     if config.n_fields == 0:
         report = VerifyReport(records=[_record(
             name=name, statement="", corpus="empty", count=0,
-            worst_margin=0.0, tolerance=0.0, passed=True, slack=0.0,
+            worst_margin=0.0, tolerance=0.0, slack=0.0,
             details={"empty": True},
         ) for name in config.suites], config=config)
         return report

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from affinebv.cli import main
-from affinebv.serialize import read_afg
+from affinebv.grid import GridFunction, GridSpec
+from affinebv.serialize import read_afg, write_afg
 
 from conftest import src_env
 
@@ -63,6 +64,13 @@ class TestConstants:
         assert code == 0
         assert "alpha_n" in json.loads(out.read_text())
 
+    @pytest.mark.parametrize("dim", ["1", "0"])
+    def test_bad_dim_exits_2(self, capsys, dim):
+        code, out, err = run_main(capsys, "constants", "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert err == f"configuration error: --dim must be >= 2, got {dim}\n"
+
 
 class TestEnergy:
     def test_square_indicator(self, capsys, square_cfg):
@@ -104,7 +112,12 @@ class TestEnergy:
         {"shape": "ball"},
         {"shape": "ball", "center": [0.0, 0.0], "radius": "x"},
         {"shape": "ball", "center": [0.0, 0.0], "radius": -1},
-    ], ids=["missing-keys", "non-numeric-radius", "negative-radius"])
+        {"shape": ["ball"], "center": [0.0, 0.0], "radius": 1.0},
+        {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0,
+         "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        {"shape": "box", "extents": [[0.0, 1.0], [0.0, 1.0]], "radius": 1.0},
+    ], ids=["missing-keys", "non-numeric-radius", "negative-radius",
+            "list-shape", "ball-with-matrix", "box-with-radius"])
     def test_bad_descriptor_exits_2(self, capsys, tmp_path, desc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(desc))
@@ -125,12 +138,29 @@ class TestEnergy:
         assert err.startswith("configuration error: grid_extent")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("option", [["--dirs", "3"], ["--sigma", "-1"]],
-                             ids=["odd-dirs", "negative-sigma"])
+    @pytest.mark.parametrize("option", [["--dirs", "3"], ["--sigma", "-1"],
+                                        ["--grid", "0"]],
+                             ids=["odd-dirs", "negative-sigma", "zero-grid"])
     def test_bad_option_exits_2(self, capsys, disk_cfg, option):
         code, _, err = run_main(capsys, "energy", "--domain", disk_cfg,
                                 "--grid", "32", *option)
         assert code == 2
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cut", [None, 0, 14, -5],
+                             ids=["missing", "empty", "short-header",
+                                  "short-values"])
+    def test_bad_field_file_exits_2(self, capsys, disk_cfg, tmp_path, cut):
+        path = tmp_path / "field.afg"
+        if cut is not None:
+            spec = GridSpec(dim=2, shape=(32, 32), spacing=0.1, origin=(0, 0))
+            write_afg(str(path), GridFunction.zeros(spec))
+            path.write_bytes(path.read_bytes()[:cut])
+        code, out, err = run_main(capsys, "energy", "--domain", disk_cfg,
+                                  "--grid", "32", "--field", str(path))
+        assert code == 2
+        assert out == ""
         assert err.startswith("configuration error:")
         assert err.count("\n") == 1
 
@@ -162,6 +192,16 @@ class TestOracle:
         code, _, err = run_main(capsys, "oracle", "--body", "ellipse")
         assert code == 2
         assert "--matrix" in err
+
+    @pytest.mark.parametrize("matrix", ["[[1,0]", "[[1,2],[3]]", '"x"', "5"],
+                             ids=["unclosed", "ragged", "string", "scalar"])
+    def test_bad_matrix_exits_2(self, capsys, matrix):
+        code, out, err = run_main(capsys, "oracle", "--body", "ellipse",
+                                  "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: --matrix")
+        assert err.count("\n") == 1
 
     def test_ellipse(self, capsys):
         code, out, _ = run_main(capsys, "oracle", "--body", "ellipse",
@@ -219,7 +259,8 @@ class TestMinimize:
     @pytest.mark.parametrize("option,message", [
         (["--starts", "0"], "n_starts must be >= 1"),
         (["--max-iters", "-1"], "max_iters must be >= 0"),
-    ], ids=["zero-starts", "negative-iters"])
+        (["--grid", "0"], "--grid must be >= 1"),
+    ], ids=["zero-starts", "negative-iters", "zero-grid"])
     def test_bad_solver_option_exits_2(self, capsys, square_cfg, option,
                                        message):
         code, out, err = run_main(capsys, "minimize", "--level", "cA",
@@ -287,6 +328,12 @@ class TestVerify:
         assert code == 2
         assert err.startswith("configuration error:")
         assert err.count("\n") == 1
+
+    def test_zero_grid_exit_two(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--grid", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "configuration error: --grid must be >= 1, got 0\n"
 
     def test_negative_fields_exit_two(self, capsys):
         code, out, err = run_main(capsys, "verify", "--fields", "-3")

@@ -26,14 +26,22 @@ from affinebv import (
     total_variation,
 )
 import affinebv.minimize as minimize_module
-from affinebv.errors import AffineBVError
+from affinebv.energy import COV_EIGEN_EPS
+from affinebv.errors import AffineBVError, GridError
 from affinebv.grid import row_norms
 from affinebv.minimize import (
     MinimizeConfig,
     SmoothedProblem,
     check_gradient,
 )
-from affinebv.variation import CELL_GRADIENT, FACE_ATOMS, covariance
+from affinebv.variation import (
+    ATOM_ELISION,
+    CELL_GRADIENT,
+    FACE_ATOMS,
+    VariationAtoms,
+    covariance,
+    covariance_eigen_ratio,
+)
 from affinebv.verify import square_domain
 
 from conftest import aligned_square, random_field, src_env
@@ -224,6 +232,65 @@ def _same(got, want):
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+
+
+def _degeneracy_cases():
+    """Atom sets (N, dim): random ones over 16 decades, ones with atoms
+    below ATOM_ELISION, rank-1 ones and all-zero ones."""
+    rng = np.random.default_rng(13)
+    cases = []
+    for dim in (2, 3):
+        for n in (1, 2, 3, 8, 40, 200):
+            cases.append(rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-8, 8))
+        line = np.outer(rng.normal(size=25), rng.normal(size=dim))
+        light = rng.normal(size=(6, dim)) * 0.1 * ATOM_ELISION
+        full = rng.normal(size=(30, dim))
+        full[::3] *= 1e-31
+        cases += [line, np.concatenate([line, light]), light, full,
+                  np.concatenate([full, light]), np.zeros((12, dim))]
+    return cases
+
+
+class TestOneDegeneracyTest:
+    """``SmoothedProblem._degenerate`` decides what
+    ``covariance_eigen_ratio`` decides, from the norms the objective uses."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return {dim: SmoothedProblem(_ball_domain(dim, 20)[1], Weights(),
+                                     make_quadrature(dim, 16))
+                for dim in (2, 3)}
+
+    @pytest.mark.parametrize("case", range(len(_degeneracy_cases())))
+    def test_agrees_with_covariance_eigen_ratio(self, problems, case):
+        V = _degeneracy_cases()[case]
+        prob = problems[V.shape[1]]
+        want = covariance_eigen_ratio(VariationAtoms(V.shape[1], V, CELL_GRADIENT))
+        assert prob._degenerate(np.ascontiguousarray(V.T), row_norms(V)) == (
+            want < COV_EIGEN_EPS)
+
+    def test_kinds_of_case_covered(self):
+        decided = [covariance_eigen_ratio(VariationAtoms(V.shape[1], V, CELL_GRADIENT))
+                   < COV_EIGEN_EPS for V in _degeneracy_cases()]
+        assert 0 < sum(decided) < len(decided)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_same_error_on_non_finite_components(self, problems, bad):
+        V = np.random.default_rng(2).normal(size=(10, 2))
+        V[4, 1] = bad
+        with pytest.raises(GridError) as atoms_err:
+            VariationAtoms(2, V, CELL_GRADIENT)
+        with pytest.raises(GridError) as problem_err:
+            problems[2]._degenerate(np.ascontiguousarray(V.T), row_norms(V))
+        assert str(problem_err.value) == str(atoms_err.value)
+
+    def test_overflowing_norms_are_not_non_finite(self, problems):
+        V = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
+        with np.errstate(over="ignore"):
+            r = row_norms(V)
+            VariationAtoms(2, V, CELL_GRADIENT)
+        assert not np.isfinite(r).all()
+        problems[2]._degenerate(np.ascontiguousarray(V.T), r)
 
 
 class TestEvaluationReuse:

@@ -11,6 +11,7 @@ import pytest
 from affinebv import ConfigError, GridFunction, make_quadrature
 from affinebv.verify import (
     VerifyConfig,
+    _record,
     check_affine_invariance,
     check_comparisons,
     check_huang_li,
@@ -222,3 +223,31 @@ class TestRunSuite:
         rec = doc["records"][0]
         assert set(rec) == {"name", "statement", "corpus", "count",
                             "worst_margin", "tolerance", "passed", "details"}
+
+
+class TestPassFromSlack:
+    """A record passes exactly when its slack is >= 0."""
+
+    @staticmethod
+    def _record(slack, count=1):
+        return _record(slack, name="check", statement="", corpus="",
+                       count=count, worst_margin=0.0, tolerance=0.0)
+
+    def test_zero_slack_passes(self):
+        assert self._record(0.0).passed
+
+    def test_least_negative_slack_fails(self):
+        rec = self._record(-5e-324)
+        assert not rec.passed
+        assert rec.details["slack"] == -5e-324
+
+    def test_vacuous_record_passes_with_zero_slack(self):
+        rec = self._record(-1.0, count=0)
+        assert rec.passed
+        assert rec.details == {"vacuous": True, "slack": 0.0}
+
+    def test_config_lists_its_suites(self):
+        doc = VerifyConfig(suites=("huang_li",)).as_dict()
+        assert doc["suites"] == ["huang_li"]
+        assert set(doc) == {"grid", "dirs", "seed", "n_fields", "n_maps",
+                            "suites", "forced_tolerance"}
