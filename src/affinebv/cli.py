@@ -73,9 +73,19 @@ def _grid_for(cfg, grid):
 
 
 def _weights_from(cfg, args):
-    a = args.a_const if args.a_const is not None else cfg.get("a_const", 0.0)
-    b = args.b_const if args.b_const is not None else cfg.get("b_const", 0.0)
-    return Weights(a=a, b=b)
+    """Scalar weights from the flags, else the descriptor, else 0: finite
+    real numbers, with ``b_const >= 0``.  The magnitude test also rejects
+    NaN and a JSON integer too large for a float."""
+    w = {}
+    for key, flag in (("a_const", args.a_const), ("b_const", args.b_const)):
+        v = flag if flag is not None else cfg.get(key, 0.0)
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not abs(v) <= sys.float_info.max):
+            raise ConfigError(f"{key} must be a finite number, got {v!r}")
+        w[key] = v
+    if w["b_const"] < 0:
+        raise ConfigError(f"b_const must be >= 0, got {w['b_const']!r}")
+    return Weights(a=w["a_const"], b=w["b_const"])
 
 
 def _emit(payload, out):

@@ -70,8 +70,9 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.kind not in ("X", "Y"):
             raise ConfigError(f"constraint kind must be X or Y, got {self.kind}")
-        if not (self.q >= 1 and self.r >= 1):
-            raise ConfigError(f"exponents must be >= 1, got q={self.q}, r={self.r}")
+        if not (1 <= self.q < math.inf and 1 <= self.r < math.inf):
+            raise ConfigError(f"exponents must be finite and >= 1, got "
+                              f"q={self.q}, r={self.r}")
 
     def is_critical(self, dim):
         return abs(self.q - dim / (dim - 1.0)) < 1e-12

@@ -5,16 +5,13 @@ A scalar field lives on a uniform isotropic grid (spacing ``h``) in dimension
 enumerates its boundary faces; traces, zero extension, and boundary measures
 are all face-based.
 
-Boundary measurement supports two modes:
-
-* ``face-sum``: each boundary face counts with area ``h**(n-1)`` and its
-  axis-aligned normal.  Exact for axis-aligned boxes, and the mode in which
-  the discrete zero-extension identity is exact.
-* ``normal-corrected``: for analytic shapes (ball, ellipsoid) each face
-  carries the analytic outward normal at the face center and the reduced
-  area ``h**(n-1) * |nu . e_axis|``.  This removes the O(1) staircase bias
-  of face counting on curved boundaries (a rasterized disk otherwise
-  measures 8R instead of 2*pi*R).
+Each boundary face is measured against the domain's outward normal.  Faces
+of analytic shapes (ball, ellipsoid) carry the analytic outward normal at
+the face center and the reduced area ``h**(n-1) * |nu . e_axis|``, which
+removes the O(1) staircase bias of face counting on curved boundaries (a
+rasterized disk would otherwise measure 8R instead of 2*pi*R).  Faces of
+boxes and polygons carry their axis-aligned normal and the full area
+``h**(n-1)``, exact for axis-aligned boxes.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import GridError, ShapeError
-
-FACE_SUM = "face-sum"
-NORMAL_CORRECTED = "normal-corrected"
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,6 @@ class DomainMask:
     face_axes: np.ndarray         # (K,)
     face_signs: np.ndarray        # (K,) +1 or -1, outward along the axis
     true_normals: np.ndarray | None = None   # (K, dim) analytic outward normals
-    default_mode: str = FACE_SUM
     descriptor: dict = field(default_factory=dict)
 
     @property
@@ -137,14 +130,13 @@ class DomainMask:
         nu[np.arange(self.n_faces), self.face_axes] = self.face_signs
         return nu
 
-    def face_normals_and_areas(self, mode=None):
-        """Per-face (normal, area) in the requested measurement mode."""
-        mode = mode or self.default_mode
+    def face_normals_and_areas(self):
+        """Per-face (normal, area): the analytic normal and the area
+        ``h**(n-1) * |nu . e_axis|`` where ``true_normals`` is present, else
+        the axis normal and the full face area."""
         base = self.spec.face_area
-        if mode == FACE_SUM or self.true_normals is None:
+        if self.true_normals is None:
             return self.axis_normals(), np.full(self.n_faces, base)
-        if mode != NORMAL_CORRECTED:
-            raise GridError(f"unknown boundary mode {mode!r}")
         w = np.abs(self.true_normals[np.arange(self.n_faces), self.face_axes])
         return self.true_normals, base * w
 
@@ -331,7 +323,6 @@ def make_mask(spec, shape_spec):
     )
     if normal_fn is not None:
         mask.true_normals = normal_fn(mask.face_centers())
-        mask.default_mode = NORMAL_CORRECTED
     return mask
 
 
@@ -346,11 +337,11 @@ def zero_extend(u, mask):
     return u.with_values(np.where(mask.inside, u.values, 0.0))
 
 
-def extract_trace(u, mask, mode=None):
+def extract_trace(u, mask):
     """Boundary trace: the adjacent inside-cell value per boundary face."""
     _check_same_grid(u, mask)
     vals = u.values[tuple(mask.face_cells.T)]
-    normals, areas = mask.face_normals_and_areas(mode)
+    normals, areas = mask.face_normals_and_areas()
     return TraceData(values=vals, normals=normals, areas=areas)
 
 

@@ -135,8 +135,7 @@ class SmoothedProblem:
     ``sqrt((v_i . xi_j)^2 + eps^2)``, a dense product.
     """
 
-    def __init__(self, mask, weights, quadrature, backend=CELL_GRADIENT,
-                 boundary_mode=None):
+    def __init__(self, mask, weights, quadrature, backend=CELL_GRADIENT):
         self.mask = mask
         self._a = np.asarray(weights.a)
         self._b = np.asarray(weights.b)
@@ -150,8 +149,7 @@ class SmoothedProblem:
         self.atom_scale = spec.face_area
 
         self._inside_flat = mask.inside_indices()
-        stencil = AtomStencil(mask, backend, include_boundary=True,
-                              boundary_mode=boundary_mode)
+        stencil = AtomStencil(mask, backend, include_boundary=True)
         self.n_var = stencil.n_inside
         self.n_atoms = stencil.n_rows
         self._face_var = stencil.rank[stencil.face_cells]

@@ -5,8 +5,9 @@ vectors: each atom's mass is its norm, its direction the unit vector.  Two
 backends:
 
 * ``face-atoms``: one atom per interior face (jump times face area).  Exact
-  for axis-aligned indicators; with boundary atoms included the discrete
-  zero-extension identity holds exactly.
+  for axis-aligned indicators; with boundary atoms included on an
+  axis-normal mask (box, polygon) the discrete zero-extension identity
+  holds exactly.
 * ``cell-gradient``: one atom per inside cell (finite-difference gradient
   times cell volume).  Consistent for smooth fields and the default for
   optimization; overestimates oblique directional variation on unmollified
@@ -95,8 +96,7 @@ class AtomStencil:
     adds atom ``n_interior + k``: ``-f[cell] * normal * area``.
     """
 
-    def __init__(self, mask, backend=FACE_ATOMS, include_boundary=False,
-                 boundary_mode=None):
+    def __init__(self, mask, backend, include_boundary):
         if backend not in (FACE_ATOMS, CELL_GRADIENT):
             raise GridError(f"unknown backend {backend!r}")
         spec = mask.spec
@@ -127,7 +127,7 @@ class AtomStencil:
         if include_boundary:
             self.face_cells = np.ravel_multi_index(tuple(mask.face_cells.T),
                                                    spec.shape)
-            self.normals, self.areas = mask.face_normals_and_areas(boundary_mode)
+            self.normals, self.areas = mask.face_normals_and_areas()
             self.n_rows += mask.n_faces
 
     def apply(self, values):
@@ -162,12 +162,11 @@ class AtomStencil:
         return mats
 
 
-def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False,
-                  boundary_mode=None):
+def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False):
     """Atomize the variation measure of ``u`` on ``mask``."""
     if u.spec != mask.spec:
         raise GridError("field and mask live on different grids")
-    atoms = AtomStencil(mask, backend, include_boundary, boundary_mode).apply(u.values)
+    atoms = AtomStencil(mask, backend, include_boundary).apply(u.values)
     return VariationAtoms(dim=mask.spec.dim, atoms=atoms, backend=backend,
                           source="extended" if include_boundary else "interior")
 

@@ -323,15 +323,15 @@ def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0):
     )
 
 
-def check_wirtinger_gap(grid=128, dirs=256):
+def check_wirtinger_gap(mask, quadrature):
     """Certificate that no constant bounds the mean-centered norm by the
     interior energy: a single-direction field has zero interior energy but
-    mean-centered L1 norm far from zero.  Includes a negative control."""
-    spec, mask = square_domain(grid)
-    quad = make_quadrature(2, dirs)
+    mean-centered L1 norm far from zero.  Includes a negative control.
+    ``mask`` is the unit square of :func:`square_domain`."""
+    spec = mask.spec
     x = spec.cell_centers()[..., 0]
     u = GridFunction(spec, np.where(mask.inside, np.sin(np.pi * x), 0.0))
-    e = affine_energy_interior(u, mask, CELL_GRADIENT, quad)
+    e = affine_energy_interior(u, mask, CELL_GRADIENT, quadrature)
     mean = float(np.mean(u.values[mask.inside]))
     centered = u.with_values(np.where(mask.inside, u.values - mean, 0.0))
     nrm = lq_norm(centered, mask, 1.0)
@@ -341,7 +341,7 @@ def check_wirtinger_gap(grid=128, dirs=256):
     # negative control: gradient direction varies, covariance has full rank
     y = spec.cell_centers()[..., 1]
     v = GridFunction(spec, np.where(mask.inside, x + y * y, 0.0))
-    e_ctrl = affine_energy_interior(v, mask, CELL_GRADIENT, quad)
+    e_ctrl = affine_energy_interior(v, mask, CELL_GRADIENT, quadrature)
 
     flags = (e.degenerate and e.value == 0.0 and not e_ctrl.degenerate
              and e_ctrl.value > 0)
@@ -437,7 +437,7 @@ def run_suite(config=None):
             fields, disk_mask, quad, n_maps=config.n_maps, seed=config.seed))
 
     if "wirtinger_gap" in config.suites:
-        records.append(check_wirtinger_gap(grid=config.grid, dirs=config.dirs))
+        records.append(check_wirtinger_gap(sq_mask, quad))
 
     if "huang_li" in config.suites:
         spec = disk_mask.spec

@@ -36,6 +36,7 @@ from affinebv.verify import (
     disk_domain,
     ellipse_domain,
     random_bumps,
+    square_domain,
 )
 
 from conftest import aligned_square, random_field
@@ -161,10 +162,11 @@ def test_criterion_05_comparisons(disk256, quad512, bumps100):
            f"split bound {d['c3_worst']:.2e} (tol 1e-3) on 100 fields")
 
 
-def test_criterion_06_degeneracy_certificate():
+def test_criterion_06_degeneracy_certificate(quad512):
     """Single-direction field: zero energy, rank-deficient covariance;
     a genuinely two-direction control stays positive."""
-    rec = check_wirtinger_gap(grid=256, dirs=512)
+    _, mask = square_domain(256)
+    rec = check_wirtinger_gap(mask, quad512)
     d = rec.details
     ok = rec.passed and d["energy"] == 0.0 and d["eigen_ratio"] < 1e-12 \
         and d["control_energy"] > 0.0

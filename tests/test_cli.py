@@ -260,7 +260,13 @@ class TestMinimize:
         (["--starts", "0"], "n_starts must be >= 1"),
         (["--max-iters", "-1"], "max_iters must be >= 0"),
         (["--grid", "0"], "--grid must be >= 1"),
-    ], ids=["zero-starts", "negative-iters", "zero-grid"])
+        (["--b-const", "-1"], "b_const must be >= 0"),
+        (["--b-const", "nan"], "b_const must be a finite number"),
+        (["--a-const", "inf"], "a_const must be a finite number"),
+        (["--q", "inf"], "exponents must be finite"),
+        (["--r", "inf"], "exponents must be finite"),
+    ], ids=["zero-starts", "negative-iters", "zero-grid", "negative-b",
+            "nan-b", "infinite-a", "infinite-q", "infinite-r"])
     def test_bad_solver_option_exits_2(self, capsys, square_cfg, option,
                                        message):
         code, out, err = run_main(capsys, "minimize", "--level", "cA",
@@ -269,6 +275,22 @@ class TestMinimize:
         assert code == 2
         assert out == ""
         assert err.startswith(f"configuration error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("weight", [{"a_const": "x"}, {"a_const": True},
+                                        {"a_const": 10 ** 400}, {"b_const": -1}],
+                             ids=["string-a", "bool-a", "huge-int-a", "negative-b"])
+    def test_bad_descriptor_weight_exits_2(self, capsys, tmp_path, weight):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"shape": "box",
+                                    "extents": [[0.0, 1.0], [0.0, 1.0]],
+                                    **weight}))
+        code, out, err = run_main(capsys, "minimize", "--level", "cA",
+                                  "--q", "1.0", "--domain", str(path),
+                                  "--grid", "32")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"configuration error: {next(iter(weight))}")
         assert err.count("\n") == 1
 
     def test_every_start_unprojectable_is_not_degenerate(self, capsys,

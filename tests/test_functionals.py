@@ -20,7 +20,7 @@ from affinebv import (
     truncate,
 )
 import affinebv.functionals as functionals
-from affinebv.errors import AffineBVError, GridError
+from affinebv.errors import AffineBVError, ConfigError, GridError
 from affinebv.functionals import (
     clamp_rim,
     m_r_vector,
@@ -634,6 +634,9 @@ class TestConstraintSpec:
             ConstraintSpec(q=0.5, kind="X", r=1.0, zero_trace=False)
         with pytest.raises(AffineBVError):
             ConstraintSpec(q=1.0, kind="Z", r=1.0, zero_trace=False)
+        for q, r in [(np.inf, 1.0), (np.nan, 1.0), (2.0, np.inf), (2.0, np.nan)]:
+            with pytest.raises(ConfigError, match="finite"):
+                ConstraintSpec(q=q, kind="Y", r=r)
 
     def test_critical_exponent(self):
         cs = ConstraintSpec(q=2.0, kind="X", r=1.0, zero_trace=False)

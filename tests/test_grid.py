@@ -226,15 +226,17 @@ class TestTrace:
                                 "radius": 1.0})
         c = 1.7
         u = GridFunction(spec, np.where(mask.inside, c, 0.0))
-        tr = extract_trace(u, mask)  # ball default: normal-corrected
+        tr = extract_trace(u, mask)  # ball: analytic normals, reduced areas
         assert tr.l1_norm() == pytest.approx(2 * np.pi * c, rel=0.03)
 
     def test_disk_perimeter_face_sum_overestimates(self, disk64):
         spec, mask = disk64
         u = indicator(spec, mask)
-        tr = extract_trace(u, mask, mode="face-sum")
-        # staircase measurement converges to 8R, not 2 pi R
-        assert tr.l1_norm() == pytest.approx(8.0, rel=0.05)
+        # staircase measurement: every boundary face at full area
+        staircase = (np.sum(np.abs(u.values[tuple(mask.face_cells.T)]))
+                     * spec.face_area)
+        # converges to 8R, not 2 pi R
+        assert staircase == pytest.approx(8.0, rel=0.05)
 
 
 class TestMollify:

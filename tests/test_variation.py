@@ -290,17 +290,20 @@ class TestPsiSamples:
         assert ref.min() < 1e-9 * total_variation(stretched)
         assert_psi_agrees(stretched, dirs)
 
-    # face atoms: axis interior, oblique boundary; cell gradients: the reverse
-    @pytest.mark.parametrize("backend, mode", [(FACE_ATOMS, "normal-corrected"),
-                                               (CELL_GRADIENT, "face-sum")])
-    def test_3d_mixed_sets(self, backend, mode):
+    # face atoms on a ball: axis interior, oblique boundary; cell gradients
+    # on a box: the reverse
+    @pytest.mark.parametrize("backend, shape", [
+        (FACE_ATOMS, {"shape": "ball", "center": [0.0, 0.05, 0.0],
+                      "radius": 0.9}),
+        (CELL_GRADIENT, {"shape": "box",
+                         "extents": [[-0.9, 0.8], [-0.85, 0.9], [-0.7, 0.9]]}),
+    ], ids=["face-atoms-ball", "cell-gradient-box"])
+    def test_3d_mixed_sets(self, backend, shape):
         spec = GridSpec(dim=3, shape=(24, 24, 24), spacing=2.6 / 24,
                         origin=(-1.3,) * 3)
-        mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.05, 0.0],
-                                "radius": 0.9})
+        mask = make_mask(spec, shape)
         u = random_field(spec, mask, seed=26, smooth=1)
-        atoms = compute_atoms(u, mask, backend=backend, include_boundary=True,
-                              boundary_mode=mode)
+        atoms = compute_atoms(u, mask, backend=backend, include_boundary=True)
         axis = np.count_nonzero(atoms.atoms, axis=1) == 1
         assert 0 < axis.sum() < len(atoms)
         assert_psi_agrees(atoms, sphere_dirs(3, np.random.default_rng(26), M=256))
@@ -450,7 +453,7 @@ def _stencil_masks():
         "matrix": (H * np.diag([1.6, 1.2, 0.6])).tolist()})
 
 
-def _reference_atoms(f, mask, backend, mode, include_boundary, kinds=None):
+def _reference_atoms(f, mask, backend, include_boundary, kinds=None):
     """Atoms by loops; ``kinds`` collects the cell-gradient difference kinds."""
     kinds = set() if kinds is None else kinds
     spec = mask.spec
@@ -494,7 +497,7 @@ def _reference_atoms(f, mask, backend, mode, include_boundary, kinds=None):
                     if not inside[c] or neighbor(c, d, s):
                         continue
                     assert tuple(mask.face_cells[k]) == c
-                    if mode == "normal-corrected" and mask.true_normals is not None:
+                    if mask.true_normals is not None:
                         nu = mask.true_normals[k]
                         area = h ** (n - 1) * abs(nu[d])
                     else:
@@ -514,8 +517,7 @@ def _assert_rel(actual, expected, rtol=1e-15):
 
 class TestStencilReference:
     @pytest.mark.parametrize("backend", [FACE_ATOMS, CELL_GRADIENT])
-    @pytest.mark.parametrize("mode", ["face-sum", "normal-corrected"])
-    def test_matches_loops(self, backend, mode):
+    def test_matches_loops(self, backend):
         from affinebv import Weights, make_quadrature
         from affinebv.minimize import SmoothedProblem
 
@@ -525,15 +527,14 @@ class TestStencilReference:
             spec = mask.spec
             u = GridFunction(spec, rng.normal(size=spec.shape))
             for incl in (False, True):
-                ref = _reference_atoms(u.values, mask, backend, mode, incl)
+                ref = _reference_atoms(u.values, mask, backend, incl)
                 ref = ref[np.linalg.norm(ref, axis=1) >= 1e-30]
                 atoms = compute_atoms(u, mask, backend=backend,
-                                      include_boundary=incl,
-                                      boundary_mode=mode)
+                                      include_boundary=incl)
                 _assert_rel(atoms.atoms, ref)
             prob = SmoothedProblem(mask, Weights(), make_quadrature(spec.dim, 8),
-                                   backend=backend, boundary_mode=mode)
-            ref = _reference_atoms(u.values, mask, backend, mode, True, kinds)
+                                   backend=backend)
+            ref = _reference_atoms(u.values, mask, backend, True, kinds)
             _assert_rel(prob.atom_matrix(prob.to_vector(u)), ref)
         if backend == CELL_GRADIENT:
             assert kinds == {"forward", "backward", "zero"}

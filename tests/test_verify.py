@@ -117,7 +117,8 @@ class TestIndividualChecks:
         assert rec.details["atom_worst"] <= 1e-3
 
     def test_wirtinger_gap(self):
-        rec = check_wirtinger_gap(grid=64, dirs=64)
+        _, mask = square_domain(64)
+        rec = check_wirtinger_gap(mask, make_quadrature(2, 64))
         assert rec.passed
         assert rec.details["energy"] == 0.0
         assert rec.details["centered_l1"] > 0.15
