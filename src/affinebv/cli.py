@@ -25,7 +25,7 @@ from .minimize import MinimizeConfig, minimize_level
 from .oracle import EllipsoidBody, PolygonBody, energy_body, psi_body
 from .serialize import read_afg, write_afg
 from .variation import CELL_GRADIENT, FACE_ATOMS
-from .verify import VerifyConfig, run_suite
+from .verify import SUITES, VerifyConfig, run_suite
 
 
 def _load_domain(path):
@@ -159,14 +159,9 @@ def cmd_minimize(args):
 
 
 def cmd_verify(args):
-    suites = VerifyConfig().suites if args.suite == "all" else (args.suite,)
-    for s in suites:
-        if s not in VerifyConfig().suites:
-            raise ConfigError(f"unknown suite {s!r}; choose from "
-                              f"{list(VerifyConfig().suites)} or 'all'")
     cfg = VerifyConfig(grid=args.grid, dirs=args.dirs, seed=args.seed,
-                       n_fields=args.fields, suites=tuple(suites),
-                       forced_tolerance=args.forced_tolerance)
+                       n_fields=args.fields,
+                       suites=SUITES if args.suite == "all" else (args.suite,))
     report = run_suite(cfg)
     _emit(report.as_dict(), args.out)
     for r in report.records:
@@ -246,13 +241,12 @@ def build_parser():
     m.set_defaults(fn=cmd_minimize)
 
     v = sub.add_parser("verify", help="run the inequality test suite")
-    v.add_argument("--suite", default="all")
+    v.add_argument("--suite", default="all",
+                   help=f"one of {', '.join(SUITES)}, or 'all'")
     v.add_argument("--grid", type=int, default=128)
     v.add_argument("--dirs", type=int, default=256)
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--fields", type=int, default=100)
-    v.add_argument("--forced-tolerance", type=float, default=None,
-                   help="override all tolerances (harness self-test)")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)
 

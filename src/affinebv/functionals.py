@@ -33,21 +33,15 @@ PROJECTION_MAX_ROUNDS = 100
 
 @dataclass
 class Weights:
-    """Bounded weights: ``a`` per inside cell, ``b`` per boundary face.
-
-    ``b`` must be nonnegative unless ``allow_negative_b`` is set explicitly.
-    Scalars broadcast.
-    """
+    """Bounded weights: ``a`` per inside cell, ``b >= 0`` per boundary
+    face.  Scalars broadcast."""
 
     a: float | np.ndarray = 0.0
     b: float | np.ndarray = 0.0
-    allow_negative_b: bool = False
 
     def __post_init__(self):
-        if not self.allow_negative_b and np.any(np.asarray(self.b) < 0):
-            raise AffineBVError(
-                "negative boundary weight; set allow_negative_b to override"
-            )
+        if np.any(np.asarray(self.b) < 0):
+            raise AffineBVError("negative boundary weight")
 
     def bulk_term(self, u, mask):
         vals = np.abs(u.values[mask.inside])

@@ -23,7 +23,6 @@ from affinebv import (
     minimize_level,
     sl_n_minimize_tv,
     total_variation,
-    truncate,
 )
 from affinebv.functionals import _mr_residual, clamp_rim
 from affinebv.minimize import MinimizeConfig, SmoothedProblem, check_gradient
@@ -32,6 +31,7 @@ from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
 from affinebv.verify import (
     check_affine_invariance,
     check_comparisons,
+    check_superadditivity,
     check_wirtinger_gap,
     disk_domain,
     ellipse_domain,
@@ -179,25 +179,11 @@ def test_criterion_06_degeneracy_certificate(quad512):
 def test_criterion_07_superadditivity(disk256, quad512, bumps100):
     """Energy dominates the truncation split at 5 levels per field."""
     _, mask = disk256
-    worst = -np.inf
-    count = 0
-    for u in bumps100:
-        e = affine_energy_extended(u, mask, FACE_ATOMS, quad512).value
-        mags = np.abs(u.values[mask.inside])
-        mags = mags[mags > 0]
-        levels = np.quantile(mags, np.linspace(0.15, 0.95, 5))
-        for h in levels:
-            pair = truncate(u, float(h))
-            et = affine_energy_extended(pair.truncated, mask, FACE_ATOMS,
-                                        quad512).value
-            er = affine_energy_extended(pair.remainder, mask, FACE_ATOMS,
-                                        quad512).value
-            worst = max(worst, (et + er - e) / max(e, 1e-30))
-            count += 1
-    ok = worst <= 1e-3
+    rec = check_superadditivity(list(enumerate(bumps100)), mask, quad512)
+    ok = rec.passed and rec.tolerance == 1e-3 and rec.count == 5 * 100
     report(7, "superadditivity", ok,
-           f"worst relative margin {worst:.2e} (tol 1e-3) over "
-           f"{count} field-level pairs")
+           f"worst relative margin {rec.worst_margin:.2e} "
+           f"(tol {rec.tolerance:g}) over {rec.count} field-level pairs")
 
 
 def test_criterion_08_sl_normalization(disk256, quad512, bumps100):

@@ -323,13 +323,23 @@ class TestVerify:
         assert doc["passed"] is True
         assert "PASS wirtinger_gap" in err
 
-    def test_forced_failure_exit_one(self, capsys):
+    def test_failure_exit_one(self, capsys, monkeypatch):
+        from affinebv import verify
+
+        # no eigenvalue ratio lies below a negative bound
+        monkeypatch.setattr(verify, "COV_EIGEN_EPS", -1.0)
         code, out, err = run_main(
             capsys, "verify", "--suite", "wirtinger_gap",
-            "--grid", "64", "--dirs", "64", "--fields", "2",
-            "--forced-tolerance", "-1.0")
+            "--grid", "64", "--dirs", "64", "--fields", "2")
         assert code == 1
-        assert "FAIL" in err
+        assert err.startswith("FAIL wirtinger_gap")
+        assert json.loads(out)["passed"] is False
+
+    def test_forced_tolerance_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "wirtinger_gap",
+                  "--forced-tolerance", "-1.0"])
+        assert exc.value.code == 2
 
     def test_summary_prints_slack_and_vacuous(self, capsys):
         code, _, err = run_main(

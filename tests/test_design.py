@@ -4,13 +4,18 @@ A settable value is a parameter with a default or an annotated field of a
 ``@dataclass`` class, counted over the AST of ``src/affinebv/*.py``.  Each
 one doubles a configuration that tests and benchmarks could have to cover,
 so the count may fall but not rise; lower ``MAX_SETTABLE`` when it falls.
+The verification report's schema lists exactly ``VerifyConfig``'s fields.
 """
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
+from affinebv.verify import VerifyConfig
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "affinebv"
-MAX_SETTABLE = 116
+MAX_SETTABLE = 107
 
 
 def _is_dataclass(decorator):
@@ -55,3 +60,12 @@ def test_settable_values_do_not_grow():
     total = sum(settable_values(p.read_text()) for p in sorted(SRC.glob("*.py")))
     assert total <= MAX_SETTABLE, (
         f"{total} settable values in src/affinebv, more than {MAX_SETTABLE}")
+
+
+def test_report_schema_config_matches_verify_config():
+    # the schema describes exactly the settings a report's config carries
+    schema = json.loads((SRC / "report_schema.json").read_text())
+    config = schema["properties"]["config"]
+    assert set(config["properties"]) == {
+        f.name for f in dataclasses.fields(VerifyConfig)}
+    assert set(config["required"]) <= set(config["properties"])

@@ -42,10 +42,11 @@ def small_domain():
 
 class TestWeights:
     def test_negative_b_guarded(self):
-        with pytest.raises(AffineBVError):
+        with pytest.raises(AffineBVError, match="negative boundary weight"):
             Weights(a=0.0, b=-1.0)
-        w = Weights(a=0.0, b=-1.0, allow_negative_b=True)
-        assert w.b == -1.0
+        with pytest.raises(AffineBVError, match="negative boundary weight"):
+            Weights(a=0.0, b=np.array([0.0, -1e-300]))
+        assert Weights(a=-1.0, b=0.0).a == -1.0
 
 
 class TestPhiClassical:

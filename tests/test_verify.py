@@ -32,6 +32,19 @@ def small_config(**kw):
     return VerifyConfig(**defaults)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its growing call list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestIndividualChecks:
     def test_sobolev_zhang_disk_equality(self):
         spec, mask = disk_domain(128)
@@ -76,21 +89,41 @@ class TestIndividualChecks:
         # E(u) once per field, then E(T_h u) and E(R_h u) per level
         from affinebv import verify
 
+        monkeypatch.setattr(verify, "SUPERADDITIVITY_LEVELS", 4)
         spec, mask = square_domain(64)
         quad = make_quadrature(2, 128)
         fields = [(f"f{i}", u) for i, u in enumerate(
             random_bumps(mask, 3, np.random.default_rng(1), signed=True))]
-        calls = []
-        original = verify.affine_energy_extended
-
-        def counted(*args, **kw):
-            calls.append(1)
-            return original(*args, **kw)
-
-        monkeypatch.setattr(verify, "affine_energy_extended", counted)
-        rec = check_superadditivity(fields, mask, quad, n_levels=4)
+        calls = count_calls(monkeypatch, verify, "affine_energy_extended")
+        rec = check_superadditivity(fields, mask, quad)
         assert rec.count == 3 * 4
         assert len(calls) == 3 * (1 + 2 * 4)
+
+    def test_comparisons_build_each_atom_set_once(self, monkeypatch):
+        # per field: extended and interior atoms of u and of its clamped
+        # copy, and one trace of u
+        from affinebv import energy, verify
+
+        atoms = count_calls(monkeypatch, energy, "compute_atoms")
+        monkeypatch.setattr(verify, "compute_atoms", energy.compute_atoms)
+        traces = count_calls(monkeypatch, verify, "extract_trace")
+        _, mask = disk_domain(48)
+        fields = [(f"f{i}", u) for i, u in enumerate(
+            random_bumps(mask, 3, np.random.default_rng(0), signed=True))]
+        rec = check_comparisons(fields, mask, make_quadrature(2, 32))
+        assert rec.count == 3
+        assert len(atoms) == 3 * 4
+        assert len(traces) == 3
+
+    def test_wirtinger_gap_builds_each_atom_set_once(self, monkeypatch):
+        # the sin(pi x) field and the negative control
+        from affinebv import energy, verify
+
+        atoms = count_calls(monkeypatch, energy, "compute_atoms")
+        monkeypatch.setattr(verify, "compute_atoms", energy.compute_atoms)
+        _, mask = square_domain(32)
+        assert check_wirtinger_gap(mask, make_quadrature(2, 32)).passed
+        assert len(atoms) == 2
 
     def test_superadditivity_trivial_level(self):
         from affinebv import affine_energy_extended, truncate
@@ -150,6 +183,14 @@ class TestRunSuite:
         with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
             small_config(**{field: -1})
 
+    @pytest.mark.parametrize("suites", [("sobolev-zhang",), "huang_li",
+                                        ("huang_li", "huang"), ()],
+                             ids=["hyphen", "bare-string", "prefix", "empty"])
+    def test_bad_suites_rejected(self, suites):
+        # each would run no check, or not the one named, and pass
+        with pytest.raises(ConfigError, match="unknown suite"):
+            small_config(suites=suites)
+
     def test_empty_corpus_vacuous(self):
         report = run_suite(small_config(n_fields=0))
         assert report.passed
@@ -172,37 +213,35 @@ class TestRunSuite:
         rec = check_comparisons(zeros, mask, quad)
         assert rec.count == 3 and "vacuous" not in rec.details
 
-    @pytest.mark.parametrize("forced", [None, 1e-3])
-    def test_slack_sign_is_pass(self, forced):
-        report = run_suite(small_config(forced_tolerance=forced))
-        outcomes = {r.passed for r in report.records}
-        assert outcomes == ({True} if forced is None else {True, False})
+    def test_slack_sign_is_pass(self):
+        report = run_suite(small_config())
+        assert {r.passed for r in report.records} == {True}
         for r in report.records:
             assert (r.details["slack"] >= 0) == r.passed, r.name
         # records stay plain dataclasses that consumers can copy with changes
         assert dataclasses.replace(report.records[0], count=0).count == 0
 
-    def test_slack_negative_on_failing_checks(self):
+    def test_slack_negative_on_failing_checks(self, monkeypatch):
+        from affinebv import verify
+
+        # the disk ratio is about 1, above this upper bound
+        monkeypatch.setattr(verify, "SOBOLEV_UPPER", 0.9)
+        monkeypatch.setattr(verify, "COMPARISON_EQUALITY_TOL", -1.0)
+        monkeypatch.setattr(verify, "HUANG_LI_TOL", -1.0)
         _, mask = disk_domain(64)
         quad = make_quadrature(2, 64)
         disk = [("disk", GridFunction(mask.spec, mask.inside.astype(float)))]
         bumps = [(f"b{i}", u) for i, u in
                  enumerate(random_bumps(mask, 2, np.random.default_rng(3)))]
         records = [
-            # the disk ratio is about 1, above this upper bound
             check_sobolev_zhang(disk, mask, quad, backend="face-atoms",
-                                equality_cases=("disk",), upper=0.9),
-            check_comparisons(bumps, mask, quad, equality_tol=-1.0),
-            check_huang_li(bumps, mask, quad, tolerance=-1.0),
+                                equality_cases=("disk",)),
+            check_comparisons(bumps, mask, quad),
+            check_huang_li(bumps, mask, quad),
         ]
         for rec in records:
             assert not rec.passed, rec.name
             assert rec.details["slack"] < 0, rec.name
-
-    def test_forced_tolerance_fails(self):
-        report = run_suite(small_config(forced_tolerance=0.0,
-                                        suites=("sobolev_zhang",)))
-        assert not report.passed
 
     def test_deterministic_reports_identical(self):
         cfg = small_config(suites=("comparisons",))
@@ -251,4 +290,4 @@ class TestPassFromSlack:
         doc = VerifyConfig(suites=("huang_li",)).as_dict()
         assert doc["suites"] == ["huang_li"]
         assert set(doc) == {"grid", "dirs", "seed", "n_fields", "n_maps",
-                            "suites", "forced_tolerance"}
+                            "suites"}
