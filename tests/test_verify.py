@@ -105,6 +105,7 @@ class TestIndividualChecks:
         from affinebv import energy, verify
 
         atoms = count_calls(monkeypatch, energy, "compute_atoms")
+        # calls that verify makes itself count too
         monkeypatch.setattr(verify, "compute_atoms", energy.compute_atoms)
         traces = count_calls(monkeypatch, verify, "extract_trace")
         _, mask = disk_domain(48)
@@ -120,6 +121,7 @@ class TestIndividualChecks:
         from affinebv import energy, verify
 
         atoms = count_calls(monkeypatch, energy, "compute_atoms")
+        # calls that verify makes itself count too
         monkeypatch.setattr(verify, "compute_atoms", energy.compute_atoms)
         _, mask = square_domain(32)
         assert check_wirtinger_gap(mask, make_quadrature(2, 32)).passed
