@@ -48,7 +48,6 @@ from .variation import (
     VariationAtoms,
     compute_atoms,
     covariance,
-    directional_variation,
     total_variation,
 )
 

@@ -16,7 +16,8 @@ boxes and polygons carry their axis-aligned normal and the full area
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -94,14 +95,15 @@ class GridFunction:
         return GridFunction(self.spec, values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainMask:
     """Inside indicator plus the deterministic boundary-face enumeration.
     No inside cell lies in the two outermost cell layers of the grid.
 
     Faces are ordered lexicographically by inside-cell flat index, then axis,
     then side (-, +).  ``true_normals`` is present only for analytic shape
-    descriptors (ball / ellipsoid).
+    descriptors (ball / ellipsoid).  Frozen, so the atom stencils it caches
+    (:meth:`stencil`) always describe it.
     """
 
     spec: GridSpec
@@ -119,10 +121,6 @@ class DomainMask:
     @property
     def n_faces(self):
         return len(self.face_axes)
-
-    @property
-    def volume(self):
-        return self.n_inside * self.spec.cell_volume
 
     def axis_normals(self):
         """Axis-aligned unit outward normals, (K, dim)."""
@@ -149,9 +147,18 @@ class DomainMask:
         )
         return centers + offs
 
-    def inside_indices(self):
-        """Flat indices of inside cells, C order."""
-        return np.flatnonzero(self.inside.ravel())
+    @functools.cached_property
+    def _stencils(self):
+        return {}
+
+    def stencil(self, backend):
+        """The :class:`~affinebv.variation.AtomStencil` of this mask for
+        ``backend``, boundary rows included, built on first use and shared by
+        every field on the mask."""
+        if backend not in self._stencils:
+            from .variation import AtomStencil   # variation imports this module
+            self._stencils[backend] = AtomStencil(self, backend)
+        return self._stencils[backend]
 
 
 @dataclass(frozen=True)
@@ -322,7 +329,7 @@ def make_mask(spec, shape_spec):
         descriptor=dict(shape_spec),
     )
     if normal_fn is not None:
-        mask.true_normals = normal_fn(mask.face_centers())
+        mask = replace(mask, true_normals=normal_fn(mask.face_centers()))
     return mask
 
 

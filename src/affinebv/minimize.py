@@ -48,7 +48,6 @@ from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
     ATOM_ELISION,
     CELL_GRADIENT,
-    AtomStencil,
     check_finite_atoms,
     covariance,
     covariance_eigen_ratio,
@@ -148,8 +147,8 @@ class SmoothedProblem:
         # smoothing width is scaled the same way inside the energy term
         self.atom_scale = spec.face_area
 
-        self._inside_flat = mask.inside_indices()
-        stencil = AtomStencil(mask, backend, include_boundary=True)
+        self._inside_flat = np.flatnonzero(mask.inside.ravel())
+        stencil = mask.stencil(backend)
         self.n_var = stencil.n_inside
         self.n_atoms = stencil.n_rows
         self._face_var = stencil.rank[stencil.face_cells]

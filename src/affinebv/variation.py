@@ -86,26 +86,26 @@ def _boundary_rows(values, normals, areas):
 class AtomStencil:
     """The variation atoms of a field on a mask as linear forms in its cell
     values, over flat grid indices: applied to cell values it gives the atoms
-    (:meth:`apply`), to the inside-cell numbering ``rank`` the columns of the
-    atom operator (:meth:`operator`).
+    (:meth:`apply`), to the inside-cell numbering :attr:`rank` the columns of
+    the atom operator (:meth:`operator`).
 
-    For ``(rows, hi, lo)`` in ``interior[d]``, component ``d`` of atom
-    ``rows[k]`` is ``h**(n-1) * (f[hi[k]] - f[lo[k]])``: a face jump, or for
-    the cell gradient (times the cell volume) the forward difference, else
-    the backward one, else 0.  With ``include_boundary``, boundary face ``k``
-    adds atom ``n_interior + k``: ``-f[cell] * normal * area``.
+    For ``(rows, lo, step)`` in ``interior[d]``, component ``d`` of atom
+    ``rows[k]`` is ``h**(n-1) * (f[lo[k] + step] - f[lo[k]])``: a face jump,
+    or for the cell gradient (times the cell volume) the forward difference,
+    else the backward one, else 0.  Boundary face ``k`` adds atom
+    ``n_interior + k``: ``-f[cell] * normal * area``.  Its mask keeps it
+    (:meth:`~affinebv.grid.DomainMask.stencil`), so it stores ``lo`` alone.
     """
 
-    def __init__(self, mask, backend, include_boundary):
+    def __init__(self, mask, backend):
         if backend not in (FACE_ATOMS, CELL_GRADIENT):
             raise GridError(f"unknown backend {backend!r}")
         spec = mask.spec
-        inside = mask.inside
+        inside = self.inside = mask.inside
         self.dim = spec.dim
         self.scale = spec.face_area
         self.n_inside = mask.n_inside
-        # C-order number of each inside cell (meaningless outside)
-        self.rank = np.cumsum(inside.ravel()) - 1
+        rank = self.rank
         self.interior = []
         n = 0
         for d in range(self.dim):
@@ -114,48 +114,47 @@ class AtomStencil:
             fwd = np.flatnonzero(fwd_ok)
             step = int(np.prod(spec.shape[d + 1:]))
             if backend == FACE_ATOMS:
-                self.interior.append((np.arange(n, n + len(fwd)), fwd + step, fwd))
+                self.interior.append((slice(n, n + len(fwd)), fwd, step))
                 n += len(fwd)
                 continue
             # cells with a backward but no forward inside neighbor
             end = fwd[~fwd_ok.ravel()[fwd + step]] + step
-            self.interior.append((self.rank[np.r_[fwd, end]], np.r_[fwd + step, end],
-                                  np.r_[fwd, end - step]))
+            self.interior.append((rank[np.r_[fwd, end]], np.r_[fwd, end - step], step))
         self.n_interior = n if backend == FACE_ATOMS else self.n_inside
-        self.n_rows = self.n_interior
-        self.face_cells = None
-        if include_boundary:
-            self.face_cells = np.ravel_multi_index(tuple(mask.face_cells.T),
-                                                   spec.shape)
-            self.normals, self.areas = mask.face_normals_and_areas()
-            self.n_rows += mask.n_faces
+        self.n_rows = self.n_interior + mask.n_faces
+        self.face_cells = np.ravel_multi_index(tuple(mask.face_cells.T), spec.shape)
+        self.normals, self.areas = mask.face_normals_and_areas()
 
     def apply(self, values):
         """Atom components ``(n_rows, dim)`` of the field with these cell
         values (grid-shaped)."""
         f = np.asarray(values, dtype=float).ravel()
         out = np.zeros((self.n_rows, self.dim))
-        for d, (rows, hi, lo) in enumerate(self.interior):
-            out[rows, d] = (f[hi] - f[lo]) * self.scale
-        if self.face_cells is not None:
-            out[self.n_interior:] = _boundary_rows(f[self.face_cells],
-                                                   self.normals, self.areas)
+        for d, (rows, lo, step) in enumerate(self.interior):
+            out[rows, d] = (f[step:][lo] - f[lo]) * self.scale   # f[lo + step]
+        out[self.n_interior:] = _boundary_rows(f[self.face_cells], self.normals,
+                                               self.areas)
         return out
+
+    @property
+    def rank(self):
+        """C-order number of each inside cell (meaningless outside)."""
+        return np.cumsum(self.inside.ravel()) - 1
 
     def operator(self):
         """One sparse ``(n_rows, n_inside)`` matrix per component, mapping
         the inside-cell values ``x[rank[c]] = f[c]`` to that component of
         the atoms."""
-        mats = []
-        for d, (rows, hi, lo) in enumerate(self.interior):
-            r, c = [rows, rows], [self.rank[hi], self.rank[lo]]
+        mats, rank, all_rows = [], self.rank, np.arange(self.n_rows)
+        for d, (rows, lo, step) in enumerate(self.interior):
+            rows = all_rows[rows]
+            r, c = [rows, rows], [rank[lo + step], rank[lo]]
             v = [np.full(len(rows), self.scale), np.full(len(rows), -self.scale)]
-            if self.face_cells is not None:
-                coef = -self.normals[:, d] * self.areas
-                nz = np.flatnonzero(coef)
-                r.append(self.n_interior + nz)
-                c.append(self.rank[self.face_cells[nz]])
-                v.append(coef[nz])
+            coef = -self.normals[:, d] * self.areas
+            nz = np.flatnonzero(coef)
+            r.append(self.n_interior + nz)
+            c.append(rank[self.face_cells[nz]])
+            v.append(coef[nz])
             mats.append(sparse.csr_matrix(
                 (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
                 shape=(self.n_rows, self.n_inside)))
@@ -163,10 +162,13 @@ class AtomStencil:
 
 
 def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False):
-    """Atomize the variation measure of ``u`` on ``mask``."""
+    """Atomize the variation measure of ``u`` on ``mask`` (its stencil's rows)."""
     if u.spec != mask.spec:
         raise GridError("field and mask live on different grids")
-    atoms = AtomStencil(mask, backend, include_boundary).apply(u.values)
+    stencil = mask.stencil(backend)
+    atoms = stencil.apply(u.values)
+    if not include_boundary:
+        atoms = atoms[:stencil.n_interior]
     return VariationAtoms(dim=mask.spec.dim, atoms=atoms, backend=backend,
                           source="extended" if include_boundary else "interior")
 
@@ -180,14 +182,6 @@ def atoms_from_trace(trace, dim):
 def total_variation(atoms):
     """Sum of atom masses."""
     return float(np.sum(atoms.masses()))
-
-
-def directional_variation(atoms, xi):
-    """Psi_xi: mass of the atoms seen in direction xi (|xi| = 1)."""
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
-        raise GridError(f"direction must be unit, |xi| = {np.linalg.norm(xi)}")
-    return float(psi_samples(atoms, xi[None])[0])
 
 
 def _fold(v):

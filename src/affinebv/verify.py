@@ -48,9 +48,10 @@ SUITES = ("sobolev_zhang", "comparisons", "superadditivity",
           "affine_invariance", "wirtinger_gap", "huang_li")
 # Gaussian bumps summed into each random corpus field
 BUMPS_PER_FIELD = 3
-# Tolerances: each check reads its own at call time, so a test can tighten it.
-# affine invariance: relative tolerance of the exact atom path and of the
-# interpolating resampling path; norm cap of the random sl(n) generator
+# Tolerances and map count, read at call time so that a test can change them.
+# affine invariance: det-1 maps per field in run_suite; relative tolerance of
+# the atom path and of the resampling path; norm cap of the sl(n) generator
+AFFINE_MAPS = 50
 AFFINE_ATOM_TOL = 1e-3
 AFFINE_RESAMPLE_TOL = 0.02
 AFFINE_GENERATOR_SCALE = 0.5
@@ -102,13 +103,11 @@ class VerifyConfig:
     dirs: int = 256
     seed: int = 42
     n_fields: int = 100
-    n_maps: int = 50
     suites: tuple = SUITES
 
     def __post_init__(self):
-        for name in ("n_fields", "n_maps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_fields < 0:
+            raise ConfigError(f"n_fields must be >= 0, got {self.n_fields}")
         # a bare string fails too: its letters are not suite names
         if not self.suites or set(self.suites) - set(SUITES):
             raise ConfigError(f"unknown suite in {self.suites!r}; choose a "
@@ -142,7 +141,8 @@ class VerifyReport:
 # -- corpora -----------------------------------------------------------------
 
 def square_domain(grid):
-    """Unit square [0,1]^2 centered in a [-0.25, 1.25]^2 grid."""
+    """The cells of [0,1]^2 in a [-0.25, 1.25]^2 grid: 86 x 86 cells of side
+    1.0078 at 128, cell-aligned only when 6 divides ``grid``."""
     spec = GridSpec(dim=2, shape=(grid, grid), spacing=1.5 / grid,
                     origin=(-0.25, -0.25))
     mask = make_mask(spec, {"shape": "box", "extents": [[0.0, 1.0], [0.0, 1.0]]})
@@ -300,7 +300,7 @@ def check_superadditivity(corpus, mask, quadrature):
     )
 
 
-def check_affine_invariance(corpus, mask, quadrature, n_maps=50, seed=0):
+def check_affine_invariance(corpus, mask, quadrature, n_maps, seed):
     """Energy invariance under det-1 maps: exact change of variables on the
     atoms, and the interpolating resampling path."""
     rng = np.random.default_rng(seed)
@@ -450,7 +450,7 @@ def run_suite(config=None):
     if "affine_invariance" in config.suites:
         fields = named(random_bumps(disk_mask, 3, rng), "field")
         records.append(check_affine_invariance(
-            fields, disk_mask, quad, n_maps=config.n_maps, seed=config.seed))
+            fields, disk_mask, quad, AFFINE_MAPS, config.seed))
 
     if "wirtinger_gap" in config.suites:
         records.append(check_wirtinger_gap(sq_mask, quad))

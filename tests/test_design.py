@@ -15,7 +15,7 @@ from pathlib import Path
 from affinebv.verify import VerifyConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "affinebv"
-MAX_SETTABLE = 107
+MAX_SETTABLE = 104
 
 
 def _is_dataclass(decorator):

@@ -1,5 +1,7 @@
 """Grid, mask, trace, mollification, and resampling behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,27 @@ class TestMakeMask:
                         origin=(-1.3, -1.3))
         mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0],
                                 "radius": 1.0})
-        assert mask.volume == pytest.approx(np.pi, rel=0.02)
+        assert mask.n_inside * spec.cell_volume == pytest.approx(np.pi, rel=0.02)
+
+    def test_mask_is_frozen(self, disk64):
+        # a mask keeps its atom stencils, which must never go stale
+        _, mask = disk64
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mask.inside = ~mask.inside
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mask.true_normals = None
+        assert mask.true_normals is not None   # set at construction
+
+    def test_one_stencil_per_backend(self, square64):
+        _, mask = square64
+        face, cell = mask.stencil("face-atoms"), mask.stencil("cell-gradient")
+        assert face is not cell
+        assert mask.stencil("face-atoms") is face
+        assert mask.stencil("cell-gradient") is cell
+        # a copy is a new mask with its own stencils
+        assert dataclasses.replace(mask).stencil("face-atoms") is not face
+        with pytest.raises(GridError, match="unknown backend"):
+            mask.stencil("bogus")
 
     def test_faces_sorted_deterministically(self, square64):
         _, mask = square64

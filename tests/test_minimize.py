@@ -293,6 +293,23 @@ class TestOneDegeneracyTest:
         problems[2]._degenerate(np.ascontiguousarray(V.T), r)
 
 
+class TestSharedStencil:
+    @pytest.mark.parametrize("backend", [CELL_GRADIENT, FACE_ATOMS])
+    def test_problem_uses_the_mask_stencil(self, backend, monkeypatch):
+        from affinebv import variation
+
+        _, mask = _ball_domain(2, 24)
+        stencil = mask.stencil(backend)
+        built, operators = [], []
+        original, operator = variation.AtomStencil, stencil.operator
+        monkeypatch.setattr(variation, "AtomStencil",
+                            lambda *a: built.append(a) or original(*a))
+        monkeypatch.setattr(stencil, "operator",
+                            lambda: operators.append(1) or operator())
+        SmoothedProblem(mask, Weights(), make_quadrature(2, 16), backend=backend)
+        assert built == [] and operators == [1]
+
+
 class TestEvaluationReuse:
     """A SmoothedProblem evaluates each point once; a reused evaluation is
     bitwise the fresh one, and nothing stale is ever reused."""

@@ -10,7 +10,6 @@ from affinebv import (
     GridSpec,
     compute_atoms,
     covariance,
-    directional_variation,
     make_mask,
     make_quadrature,
     total_variation,
@@ -31,6 +30,14 @@ from conftest import aligned_square, indicator, random_field
 
 def unit(theta):
     return np.array([np.cos(theta), np.sin(theta)])
+
+
+def directional_variation(atoms, xi):
+    """Psi_xi for one unit direction xi: a one-sample :func:`psi_samples`."""
+    xi = np.asarray(xi, dtype=float)
+    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
+        raise GridError(f"direction must be unit, |xi| = {np.linalg.norm(xi)}")
+    return float(psi_samples(atoms, xi[None])[0])
 
 
 class TestComputeAtoms:
@@ -538,3 +545,84 @@ class TestStencilReference:
             _assert_rel(prob.atom_matrix(prob.to_vector(u)), ref)
         if backend == CELL_GRADIENT:
             assert kinds == {"forward", "backward", "zero"}
+
+
+# -- the mask's shared stencil ----------------------------------------------------
+
+def _interior_reference(f, mask, backend):
+    """Interior atoms by whole-grid differences, in the stencil's row order.
+    Each component is ``(f[hi] - f[lo]) * h**(n-1)``, the arithmetic of a
+    stencil built without boundary rows, so the rows must agree bit for bit."""
+    spec, inside = mask.spec, mask.inside
+    n, area = spec.dim, spec.face_area
+    if backend == FACE_ATOMS:
+        blocks = []
+        for d in range(n):
+            both = inside & np.roll(inside, -1, axis=d)
+            block = np.zeros((np.count_nonzero(both), n))
+            block[:, d] = (np.roll(f, -1, axis=d)[both] - f[both]) * area
+            blocks.append(block)
+        return np.concatenate(blocks)
+    out = np.zeros((np.count_nonzero(inside), n))
+    for d in range(n):
+        fwd = (np.roll(f, -1, axis=d) - f) * area
+        bwd = (f - np.roll(f, 1, axis=d)) * area
+        grad = np.where(np.roll(inside, -1, axis=d), fwd,
+                        np.where(np.roll(inside, 1, axis=d), bwd, 0.0))
+        out[:, d] = grad[inside]
+    return out
+
+
+def _shared_stencil_masks():
+    """Box, ball and polygon masks in 2D and box and ball masks in 3D on a
+    grid covering [-1.3, 1.3]^n, plus the rim cases of the loop reference."""
+    for dim, n in ((2, 40), (3, 16)):
+        spec = GridSpec(dim=dim, shape=(n,) * dim, spacing=2.6 / n,
+                        origin=(-1.3,) * dim)
+        yield f"box{dim}d", make_mask(spec, {
+            "shape": "box", "extents": [[-0.7, 0.8], [-0.9, 0.6], [-0.5, 0.9]][:dim]})
+        yield f"ball{dim}d", make_mask(spec, {
+            "shape": "ball", "center": [0.1, -0.05, 0.0][:dim], "radius": 0.85})
+        if dim == 2:
+            yield "polygon2d", make_mask(spec, {"shape": "polygon", "vertices": [
+                [-0.9, -0.8], [0.9, -0.6], [0.2, 0.1], [0.7, 0.9], [-0.8, 0.5]]})
+    yield from _stencil_masks()
+
+
+class TestSharedStencil:
+    @pytest.mark.parametrize("backend", [FACE_ATOMS, CELL_GRADIENT])
+    def test_interior_rows_bit_identical(self, backend):
+        from affinebv.grid import row_norms
+
+        rng = np.random.default_rng(11)
+        for name, mask in _shared_stencil_masks():
+            u = GridFunction(mask.spec, rng.normal(size=mask.spec.shape))
+            ref = _interior_reference(u.values, mask, backend)
+            stencil = mask.stencil(backend)
+            assert stencil.n_rows == stencil.n_interior + mask.n_faces, name
+            rows = stencil.apply(u.values)[:stencil.n_interior]
+            assert rows.tobytes() == ref.tobytes(), name
+            atoms = compute_atoms(u, mask, backend=backend)
+            kept = ref[row_norms(ref) >= ATOM_ELISION]
+            assert atoms.atoms.tobytes() == kept.tobytes(), name
+            assert mask.stencil(backend) is stencil, name
+
+    def test_atoms_build_no_stencil_once_the_mask_has_one(self, disk64, monkeypatch):
+        from affinebv import variation
+
+        spec, mask = disk64
+        u = random_field(spec, mask, seed=5)
+        for backend in (FACE_ATOMS, CELL_GRADIENT):
+            mask.stencil(backend)
+        built = []
+        original = variation.AtomStencil
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(variation, "AtomStencil", counted)
+        for backend in (FACE_ATOMS, CELL_GRADIENT):
+            for incl in (False, True):
+                compute_atoms(u, mask, backend=backend, include_boundary=incl)
+        assert built == []

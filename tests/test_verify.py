@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from affinebv import ConfigError, GridFunction, make_quadrature
+from affinebv import ConfigError, GridFunction, make_quadrature, variation, verify
 from affinebv.verify import (
     VerifyConfig,
     _record,
@@ -26,10 +26,15 @@ from affinebv.verify import (
 )
 
 
-def small_config(**kw):
-    defaults = dict(grid=64, dirs=64, n_fields=5, n_maps=5)
-    defaults.update(kw)
-    return VerifyConfig(**defaults)
+@pytest.fixture
+def small_config(monkeypatch):
+    """Builds small suite configs; the suites draw 5 maps per field."""
+    monkeypatch.setattr(verify, "AFFINE_MAPS", 5)
+
+    def make(**kw):
+        return VerifyConfig(**{**dict(grid=64, dirs=64, n_fields=5), **kw})
+
+    return make
 
 
 def count_calls(monkeypatch, module, name):
@@ -147,7 +152,7 @@ class TestIndividualChecks:
         rng = np.random.default_rng(3)
         fields = [(f"f{i}", u) for i, u in
                   enumerate(random_bumps(mask, 2, rng))]
-        rec = check_affine_invariance(fields, mask, quad, n_maps=10)
+        rec = check_affine_invariance(fields, mask, quad, n_maps=10, seed=0)
         assert rec.passed
         assert rec.details["atom_worst"] <= 1e-3
 
@@ -173,27 +178,41 @@ class TestIndividualChecks:
 
 
 class TestRunSuite:
-    def test_all_pass(self):
+    def test_all_pass(self, small_config):
         report = run_suite(small_config())
         assert report.passed
         names = [r.name for r in report.records]
         for suite in ("comparisons", "superadditivity", "wirtinger_gap"):
             assert suite in names
 
-    @pytest.mark.parametrize("field", ["n_fields", "n_maps"])
-    def test_negative_counts_rejected(self, field):
+    def test_default_suite_builds_four_stencils(self, monkeypatch):
+        # two masks (disk and square) times two backends: every other atom
+        # set of the suite, about 980 of them, reuses its mask's stencil
+        built = count_calls(monkeypatch, variation, "AtomStencil")
+        report = run_suite(VerifyConfig())
+        assert report.passed
+        assert len(built) == 4
+        counts = {r.name: r.count for r in report.records}
+        assert counts["affine_invariance"] == 3 * verify.AFFINE_MAPS == 150
+
+    def test_small_config_draws_fewer_maps(self, small_config):
+        report = run_suite(small_config(suites=("affine_invariance",)))
+        assert [r.count for r in report.records] == [3 * 5]
+
+    @pytest.mark.parametrize("field", ["n_fields"])
+    def test_negative_counts_rejected(self, small_config, field):
         with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
             small_config(**{field: -1})
 
     @pytest.mark.parametrize("suites", [("sobolev-zhang",), "huang_li",
                                         ("huang_li", "huang"), ()],
                              ids=["hyphen", "bare-string", "prefix", "empty"])
-    def test_bad_suites_rejected(self, suites):
+    def test_bad_suites_rejected(self, small_config, suites):
         # each would run no check, or not the one named, and pass
         with pytest.raises(ConfigError, match="unknown suite"):
             small_config(suites=suites)
 
-    def test_empty_corpus_vacuous(self):
+    def test_empty_corpus_vacuous(self, small_config):
         report = run_suite(small_config(n_fields=0))
         assert report.passed
         assert all(r.details.get("empty") for r in report.records)
@@ -205,7 +224,7 @@ class TestRunSuite:
         zeros = [(f"z{i}", GridFunction.zeros(mask.spec)) for i in range(3)]
         records = [check_sobolev_zhang(zeros, mask, quad),
                    check_superadditivity(zeros, mask, quad),
-                   check_affine_invariance(zeros, mask, quad, n_maps=2),
+                   check_affine_invariance(zeros, mask, quad, n_maps=2, seed=0),
                    check_huang_li(zeros, mask, quad)]
         for rec in records:
             assert rec.count == 0 and rec.passed, rec.name
@@ -215,7 +234,7 @@ class TestRunSuite:
         rec = check_comparisons(zeros, mask, quad)
         assert rec.count == 3 and "vacuous" not in rec.details
 
-    def test_slack_sign_is_pass(self):
+    def test_slack_sign_is_pass(self, small_config):
         report = run_suite(small_config())
         assert {r.passed for r in report.records} == {True}
         for r in report.records:
@@ -245,20 +264,20 @@ class TestRunSuite:
             assert not rec.passed, rec.name
             assert rec.details["slack"] < 0, rec.name
 
-    def test_deterministic_reports_identical(self):
+    def test_deterministic_reports_identical(self, small_config):
         cfg = small_config(suites=("comparisons",))
         r1 = run_suite(cfg).to_json()
         r2 = run_suite(cfg).to_json()
         assert r1 == r2
 
-    def test_schema_valid(self):
+    def test_schema_valid(self, small_config):
         schema = json.loads(
             resources.files("affinebv").joinpath("report_schema.json")
             .read_text())
         report = run_suite(small_config(suites=("wirtinger_gap",)))
         jsonschema.validate(json.loads(report.to_json()), schema)
 
-    def test_schema_golden_shape(self):
+    def test_schema_golden_shape(self, small_config):
         report = run_suite(small_config(suites=("wirtinger_gap",)))
         doc = report.as_dict()
         assert set(doc) == {"version", "passed", "config", "records"}
@@ -291,5 +310,4 @@ class TestPassFromSlack:
     def test_config_lists_its_suites(self):
         doc = VerifyConfig(suites=("huang_li",)).as_dict()
         assert doc["suites"] == ["huang_li"]
-        assert set(doc) == {"grid", "dirs", "seed", "n_fields", "n_maps",
-                            "suites"}
+        assert set(doc) == {"grid", "dirs", "seed", "n_fields", "suites"}
