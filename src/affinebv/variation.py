@@ -162,7 +162,7 @@ class AtomStencil:
 
 
 def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False):
-    """Atomize the variation measure of ``u`` on ``mask`` (its stencil's rows)."""
+    """Atomize the variation measure of ``u`` with ``mask.stencil(backend)``."""
     if u.spec != mask.spec:
         raise GridError("field and mask live on different grids")
     stencil = mask.stencil(backend)

@@ -591,38 +591,24 @@ def _shared_stencil_masks():
 
 class TestSharedStencil:
     @pytest.mark.parametrize("backend", [FACE_ATOMS, CELL_GRADIENT])
-    def test_interior_rows_bit_identical(self, backend):
+    def test_interior_rows_bit_identical(self, backend, monkeypatch):
+        from affinebv import variation
         from affinebv.grid import row_norms
 
+        masks = list(_shared_stencil_masks())
+        stencils = [mask.stencil(backend) for _, mask in masks]
+        # with its mask's stencil in place, compute_atoms must build none
+        monkeypatch.setattr(variation, "AtomStencil", None)
         rng = np.random.default_rng(11)
-        for name, mask in _shared_stencil_masks():
+        for (name, mask), stencil in zip(masks, stencils):
             u = GridFunction(mask.spec, rng.normal(size=mask.spec.shape))
             ref = _interior_reference(u.values, mask, backend)
-            stencil = mask.stencil(backend)
             assert stencil.n_rows == stencil.n_interior + mask.n_faces, name
             rows = stencil.apply(u.values)[:stencil.n_interior]
             assert rows.tobytes() == ref.tobytes(), name
-            atoms = compute_atoms(u, mask, backend=backend)
             kept = ref[row_norms(ref) >= ATOM_ELISION]
+            atoms = compute_atoms(u, mask, backend=backend)
             assert atoms.atoms.tobytes() == kept.tobytes(), name
-            assert mask.stencil(backend) is stencil, name
-
-    def test_atoms_build_no_stencil_once_the_mask_has_one(self, disk64, monkeypatch):
-        from affinebv import variation
-
-        spec, mask = disk64
-        u = random_field(spec, mask, seed=5)
-        for backend in (FACE_ATOMS, CELL_GRADIENT):
-            mask.stencil(backend)
-        built = []
-        original = variation.AtomStencil
-
-        def counted(*args):
-            built.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(variation, "AtomStencil", counted)
-        for backend in (FACE_ATOMS, CELL_GRADIENT):
-            for incl in (False, True):
-                compute_atoms(u, mask, backend=backend, include_boundary=incl)
-        assert built == []
+            # the extended atoms start with the same interior rows
+            ext = compute_atoms(u, mask, backend=backend, include_boundary=True)
+            assert ext.atoms[:len(kept)].tobytes() == kept.tobytes(), name
