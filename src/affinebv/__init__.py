@@ -20,7 +20,6 @@ from .functionals import (
     Weights,
     m_r_solve,
     phi_affine,
-    phi_classical,
     project_constraint,
     truncate,
 )

@@ -246,8 +246,9 @@ def build_parser():
     v.add_argument("--grid", type=int, default=128)
     v.add_argument("--dirs", type=int, default=256)
     v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--fields", type=int, default=100, help="scales only the "
-                   "sobolev_zhang, comparisons and superadditivity corpora")
+    v.add_argument("--fields", type=int, default=100, help="at least 1; scales "
+                   "only the sobolev_zhang, comparisons and superadditivity "
+                   "corpora")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)
 

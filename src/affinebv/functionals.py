@@ -1,8 +1,7 @@
-"""The classical and affine functionals, constraint sets, and truncations.
+"""The affine functional, constraint sets, and truncations.
 
-``phi_classical`` is total variation plus weighted bulk and boundary terms;
-``phi_affine`` replaces the total variation of the zero extension by its
-affine energy.  Constraint sets:
+``phi_affine`` is the affine energy of the zero extension plus the
+weighted bulk and boundary terms of :class:`Weights`.  Constraint sets:
 
 * X: unit L^q sphere over the domain;
 * Y: X intersected with the generalized-mean orthogonality
@@ -20,7 +19,6 @@ import numpy as np
 from .energy import affine_energy_extended
 from .errors import AffineBVError, ConfigError, GridError
 from .grid import GridFunction, _check_same_grid, check_finite, extract_trace, lq_vector
-from .variation import CELL_GRADIENT, compute_atoms, total_variation
 
 # m_r Newton solve: relative residual accepted once the step is resolved;
 # passes before it reports exhaustion
@@ -88,15 +86,7 @@ def truncate(u, h):
                           remainder=u.with_values(u.values - t))
 
 
-def phi_classical(u, mask, weights, backend=CELL_GRADIENT):
-    """|Du|(Omega) + int a|u| + int b|u-tilde|."""
-    atoms = compute_atoms(u, mask, backend=backend, include_boundary=False)
-    return (total_variation(atoms)
-            + weights.bulk_term(u, mask)
-            + weights.boundary_term(u, mask))
-
-
-def phi_affine(u, mask, weights, quadrature, backend=CELL_GRADIENT):
+def phi_affine(u, mask, weights, quadrature, backend):
     """Affine energy of the zero extension plus the weight terms."""
     e = affine_energy_extended(u, mask, backend, quadrature)
     return (e.value
@@ -206,9 +196,10 @@ def project_constraint(u, spec, mask):
     return res
 
 
-def project_vector(x, spec, cell_volume, rim=None):
+def project_vector(x, spec, cell_volume, rim):
     """Project the inside-cell values ``x`` onto X or Y; ``rim`` holds the
-    positions of the rim cells in ``x``, zeroed for the zero-trace variants.
+    positions of the rim cells in ``x``, zeroed for the zero-trace variants
+    (None for the others).
 
     X: scale to unit L^q norm.  Y: alternate subtracting the m_r shift and
     renormalizing until both residuals fall below ``PROJECTION_TOL``;

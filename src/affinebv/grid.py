@@ -365,11 +365,12 @@ def mollify(u, sigma):
     return u.with_values(out)
 
 
-def resample_affine(u, T, out_spec=None):
-    """Sample ``(u o T)(x) = u(Tx)`` by multilinear interpolation.
+def resample_affine(u, T):
+    """Sample ``(u o T)(x) = u(Tx)`` by multilinear interpolation on the
+    grid of ``u``.
 
-    ``T`` must have unit determinant.  The output grid (default: same grid)
-    must cover ``T^{-1}(support of u)``.
+    ``T`` must have unit determinant.  The grid must cover
+    ``T^{-1}(support of u)``.
     """
     T = np.asarray(T, dtype=float)
     n = u.spec.dim
@@ -377,7 +378,6 @@ def resample_affine(u, T, out_spec=None):
         raise GridError(f"map must be {n}x{n}")
     if abs(np.linalg.det(T) - 1.0) > 1e-10:
         raise GridError(f"map determinant {np.linalg.det(T)} != 1")
-    out_spec = out_spec or u.spec
 
     nz = np.argwhere(u.values != 0.0)
     if len(nz):
@@ -390,19 +390,19 @@ def resample_affine(u, T, out_spec=None):
         )
         pre = corners @ np.linalg.inv(T).T
         need_lo, need_hi = pre.min(axis=0), pre.max(axis=0)
-        glo, ghi = out_spec.bounds()
+        glo, ghi = u.spec.bounds()
         if np.any(need_lo < glo) or np.any(need_hi > ghi):
             raise GridError(
                 "support escapes target grid; required bounding box "
                 f"[{need_lo.tolist()}, {need_hi.tolist()}]"
             )
 
-    pts = out_spec.cell_centers().reshape(-1, n) @ T.T
+    pts = u.spec.cell_centers().reshape(-1, n) @ T.T
     frac = (pts - np.asarray(u.spec.origin)) / u.spec.spacing - 0.5
     out = ndimage.map_coordinates(
         u.values, frac.T, order=1, mode="constant", cval=0.0
     )
-    return GridFunction(out_spec, out.reshape(out_spec.shape))
+    return u.with_values(out.reshape(u.spec.shape))
 
 
 def check_finite(v):

@@ -47,7 +47,6 @@ from .functionals import phi_affine, project_vector, rim_positions
 from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
     ATOM_ELISION,
-    CELL_GRADIENT,
     check_finite_atoms,
     covariance,
     covariance_eigen_ratio,
@@ -134,7 +133,7 @@ class SmoothedProblem:
     ``sqrt((v_i . xi_j)^2 + eps^2)``, a dense product.
     """
 
-    def __init__(self, mask, weights, quadrature, backend=CELL_GRADIENT):
+    def __init__(self, mask, weights, quadrature, backend):
         self.mask = mask
         self._a = np.asarray(weights.a)
         self._b = np.asarray(weights.b)
@@ -354,30 +353,9 @@ def _other_windows(b):
     return after - before
 
 
-def check_gradient(prob, x, delta, n_coords=20, rng=None):
-    """Central-difference check of the analytic gradient on random
-    coordinates, step ``1e-6 max(1, max|x|)``; returns the worst
-    (abs_error, tolerance) pair."""
-    rng = rng or np.random.default_rng(0)
-    _, g, _ = prob.value_and_gradient(x, delta)
-    gn = float(np.linalg.norm(g))
-    tol = max(1e-5, 1e-4 * gn)
-    eps = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-    coords = rng.choice(prob.n_var, size=min(n_coords, prob.n_var), replace=False)
-    worst = 0.0
-    for c in coords:
-        xp = x.copy()
-        xp[c] += eps
-        xm = x.copy()
-        xm[c] -= eps
-        fd = (prob.value(xp, delta) - prob.value(xm, delta)) / (2 * eps)
-        worst = max(worst, abs(fd - g[c]))
-    return worst, tol
-
-
 # -- initial guesses --------------------------------------------------------
 
-def _inscribed_ellipsoid_field(mask, rng, round_ball=False):
+def _inscribed_ellipsoid_field(mask, rng, round_ball):
     """Mollified indicator of an inscribed ball / randomly oriented
     ellipsoid, a natural near-extremal profile."""
     spec = mask.spec
@@ -538,8 +516,8 @@ def _descend(prob, cspec, x0, max_iters):
     return pres, history, rec
 
 
-def minimize_level(mask, weights, cspec, config=None, quadrature=None,
-                   backend=CELL_GRADIENT, extra_starts=()):
+def minimize_level(mask, weights, cspec, config, quadrature, backend,
+                   extra_starts=()):
     """Best level over multistart smoothed projected descent.
 
     The result's ``level`` is the nonsmooth affine functional at the final
@@ -547,10 +525,6 @@ def minimize_level(mask, weights, cspec, config=None, quadrature=None,
     test ``0 < level < n omega_n^(1/n)``.  ``degenerate`` holds when every
     start stopped at a degenerate point.
     """
-    from .energy import make_quadrature
-
-    config = config or MinimizeConfig()
-    quadrature = quadrature or make_quadrature(mask.spec.dim, 256)
     prob = SmoothedProblem(mask, weights, quadrature, backend=backend)
     rng = np.random.default_rng(config.seed)
     guesses = initial_guesses(mask, cspec, config, rng)

@@ -3,9 +3,7 @@
 These are evaluated independently of the grid pipeline and anchor the
 verification suite: per-direction boundary variation of convex bodies and
 the resulting affine energies.  ``energy_body`` gates every ellipsoid
-energy against its closed form; ``self_check``, which the tests run,
-compares the closed-form Psi with dense boundary quadrature on random
-matrices.
+energy against its closed form.
 """
 
 from __future__ import annotations
@@ -89,29 +87,6 @@ def psi_ellipsoid(body, xi):
                  * np.linalg.norm(Ainv @ xi))
 
 
-def psi_ellipsoid_quadrature(body, xi, n_samples=200_000, rng=None):
-    """Dense boundary quadrature of the same integral, for the self-check.
-
-    Parametrizes the boundary as A(s) over the unit sphere; the surface
-    element is |det A| |A^{-T} s| dS and the normal is A^{-T}s / |A^{-T}s|.
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = body.dim
-    A = body.matrix
-    AinvT = np.linalg.inv(A).T
-    if n == 2:
-        t = (np.arange(n_samples) + 0.5) * (2 * np.pi / n_samples)
-        s = np.stack([np.cos(t), np.sin(t)], axis=1)
-        dS = 2 * np.pi / n_samples
-    else:
-        rng = rng or np.random.default_rng(0)
-        s = rng.normal(size=(n_samples, 3))
-        s /= np.linalg.norm(s, axis=1, keepdims=True)
-        dS = 4 * np.pi / n_samples
-    g = s @ AinvT.T
-    return float(abs(np.linalg.det(A)) * np.sum(np.abs(g @ xi)) * dS)
-
-
 def psi_body(body, xi):
     if isinstance(body, PolygonBody):
         return psi_polygon(body, xi)
@@ -138,24 +113,3 @@ def energy_body(body):
                 f"ellipsoid energy self-check failed: {out.value} vs {exact}"
             )
     return out.value
-
-
-def self_check(n_bodies=50, dim=2, seed=7, rtol=1e-6):
-    """Validate the ellipsoid closed form against dense boundary quadrature
-    on random matrices; raises on disagreement."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_bodies):
-        A = rng.normal(size=(dim, dim))
-        while abs(np.linalg.det(A)) < 0.1:
-            A = rng.normal(size=(dim, dim))
-        body = EllipsoidBody(dim=dim, matrix=A)
-        xi = rng.normal(size=dim)
-        xi /= np.linalg.norm(xi)
-        closed = psi_ellipsoid(body, xi)
-        dense = psi_ellipsoid_quadrature(body, xi, rng=rng)
-        tol = rtol if dim == 2 else 5e-3  # MC quadrature in 3D
-        if abs(closed - dense) > tol * abs(closed):
-            raise AffineBVError(
-                f"ellipsoid oracle self-check failed: {closed} vs {dense}"
-            )
-    return True

@@ -161,7 +161,7 @@ class AtomStencil:
         return mats
 
 
-def compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=False):
+def compute_atoms(u, mask, backend, include_boundary=False):
     """Atomize the variation measure of ``u`` with ``mask.stencil(backend)``."""
     if u.spec != mask.spec:
         raise GridError("field and mask live on different grids")

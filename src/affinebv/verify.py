@@ -8,7 +8,6 @@ into a report whose pass/fail drives the CLI exit code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -106,8 +105,8 @@ class VerifyConfig:
     suites: tuple = SUITES
 
     def __post_init__(self):
-        if self.n_fields < 0:
-            raise ConfigError(f"n_fields must be >= 0, got {self.n_fields}")
+        if self.n_fields < 1:
+            raise ConfigError(f"n_fields must be >= 1, got {self.n_fields}")
         # a bare string fails too: its letters are not suite names
         if not self.suites or set(self.suites) - set(SUITES):
             raise ConfigError(f"unknown suite in {self.suites!r}; choose a "
@@ -134,9 +133,6 @@ class VerifyReport:
             "records": [r.as_dict() for r in self.records],
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True, **kw)
-
 
 # -- corpora -----------------------------------------------------------------
 
@@ -155,16 +151,6 @@ def disk_domain(grid):
                     origin=(-1.3, -1.3))
     mask = make_mask(spec, {"shape": "ball", "center": [0.0, 0.0],
                             "radius": 1.0})
-    return spec, mask
-
-
-def ellipse_domain(grid, matrix):
-    A = np.asarray(matrix, dtype=float)
-    hw = float(np.sqrt(np.diag(A @ A.T)).max()) * 1.3
-    spec = GridSpec(dim=2, shape=(grid, grid), spacing=2 * hw / grid,
-                    origin=(-hw, -hw))
-    mask = make_mask(spec, {"shape": "ellipsoid", "center": [0.0, 0.0],
-                            "matrix": A.tolist()})
     return spec, mask
 
 
@@ -406,8 +392,7 @@ def check_huang_li(corpus, mask, quadrature):
 
 # -- suite -------------------------------------------------------------------
 
-def run_suite(config=None):
-    config = config or VerifyConfig()
+def run_suite(config):
     rng = np.random.default_rng(config.seed)
     records = []
     quad = make_quadrature(2, config.dirs)
@@ -417,13 +402,6 @@ def run_suite(config=None):
 
     def named(fields, prefix):
         return [(f"{prefix}_{i}", u) for i, u in enumerate(fields)]
-
-    if config.n_fields == 0:
-        return VerifyReport(records=[_record(
-            name=name, statement="", corpus="empty", count=0,
-            worst_margin=0.0, tolerance=0.0, slack=0.0,
-            details={"empty": True},
-        ) for name in config.suites], config=config)
 
     if "sobolev_zhang" in config.suites:
         disk_u = GridFunction(disk_mask.spec,

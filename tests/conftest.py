@@ -1,4 +1,5 @@
-"""Shared fixtures: small domains and quadratures used across the suite."""
+"""Shared fixtures: small domains and quadratures used across the suite,
+and the reference checks that more than one test module runs."""
 
 import os
 from pathlib import Path
@@ -7,6 +8,18 @@ import numpy as np
 import pytest
 
 from affinebv import GridFunction, GridSpec, make_mask, make_quadrature
+
+
+def ellipse_domain(grid, matrix):
+    """The ellipse ``A(unit disk)`` centered in a grid 1.3 times its
+    widest half-extent on each side."""
+    A = np.asarray(matrix, dtype=float)
+    hw = float(np.sqrt(np.diag(A @ A.T)).max()) * 1.3
+    spec = GridSpec(dim=2, shape=(grid, grid), spacing=2 * hw / grid,
+                    origin=(-hw, -hw))
+    mask = make_mask(spec, {"shape": "ellipsoid", "center": [0.0, 0.0],
+                            "matrix": A.tolist()})
+    return spec, mask
 
 
 def aligned_square(n):
@@ -66,3 +79,24 @@ def random_field(spec, mask, seed=0, smooth=None):
         u = mollify(u, smooth * spec.spacing)
         u = u.with_values(np.where(mask.inside, u.values, 0.0))
     return u
+
+
+def check_gradient(prob, x, delta, n_coords=20, rng=None):
+    """Central-difference check of the analytic gradient of a
+    ``SmoothedProblem`` on random coordinates, step
+    ``1e-6 max(1, max|x|)``; returns the worst (abs_error, tolerance) pair."""
+    rng = rng or np.random.default_rng(0)
+    _, g, _ = prob.value_and_gradient(x, delta)
+    gn = float(np.linalg.norm(g))
+    tol = max(1e-5, 1e-4 * gn)
+    eps = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+    coords = rng.choice(prob.n_var, size=min(n_coords, prob.n_var), replace=False)
+    worst = 0.0
+    for c in coords:
+        xp = x.copy()
+        xp[c] += eps
+        xm = x.copy()
+        xm[c] -= eps
+        fd = (prob.value(xp, delta) - prob.value(xm, delta)) / (2 * eps)
+        worst = max(worst, abs(fd - g[c]))
+    return worst, tol

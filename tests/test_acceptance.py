@@ -25,7 +25,7 @@ from affinebv import (
     total_variation,
 )
 from affinebv.functionals import _mr_residual, clamp_rim
-from affinebv.minimize import MinimizeConfig, SmoothedProblem, check_gradient
+from affinebv.minimize import MinimizeConfig, SmoothedProblem
 from affinebv.oracle import PolygonBody, psi_polygon
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
 from affinebv.verify import (
@@ -34,12 +34,11 @@ from affinebv.verify import (
     check_superadditivity,
     check_wirtinger_gap,
     disk_domain,
-    ellipse_domain,
     random_bumps,
     square_domain,
 )
 
-from conftest import aligned_square, random_field
+from conftest import aligned_square, check_gradient, ellipse_domain, random_field
 
 
 def report(num, name, ok, detail):

@@ -341,19 +341,37 @@ class TestVerify:
                   "--forced-tolerance", "-1.0"])
         assert exc.value.code == 2
 
-    def test_summary_prints_slack_and_vacuous(self, capsys):
-        code, _, err = run_main(
+    def test_summary_prints_slack_and_vacuous(self, capsys, monkeypatch):
+        from affinebv import verify
+
+        # an empty corpus is rejected, not reported as checks that passed
+        code, out, err = run_main(
             capsys, "verify", "--grid", "64", "--dirs", "64", "--fields", "0")
-        assert code == 0
-        lines = err.strip().splitlines()
-        assert len(lines) == 6
-        for line in lines:
-            assert line.startswith("PASS") and "slack" in line
-            assert "vacuous" in line
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: n_fields must be >= 1")
+        assert err.count("\n") == 1
         _, _, err = run_main(
             capsys, "verify", "--suite", "wirtinger_gap", "--grid", "64",
             "--dirs", "64", "--fields", "2")
         assert "slack" in err and "vacuous" not in err
+        # all-zero random fields leave the checks that skip zero fields with
+        # nothing to test; the fixed corpora still test something
+        monkeypatch.setattr(
+            verify, "random_bumps",
+            lambda mask, count, rng, signed=False:
+                [GridFunction.zeros(mask.spec) for _ in range(count)])
+        code, _, err = run_main(
+            capsys, "verify", "--grid", "64", "--dirs", "64", "--fields", "2")
+        assert code == 0
+        lines = err.strip().splitlines()
+        assert len(lines) == 7
+        for line in lines:
+            assert line.startswith("PASS") and "slack" in line
+        vacuous = [line.split()[1].rstrip(":") for line in lines
+                   if "vacuous" in line]
+        assert vacuous == ["sobolev_zhang", "superadditivity",
+                           "affine_invariance"]
 
     def test_tiny_grid_exit_two(self, capsys):
         code, _, err = run_main(capsys, "verify", "--grid", "2")
@@ -371,7 +389,7 @@ class TestVerify:
         code, out, err = run_main(capsys, "verify", "--fields", "-3")
         assert code == 2
         assert out == ""
-        assert err.startswith("configuration error: n_fields must be >= 0")
+        assert err.startswith("configuration error: n_fields must be >= 1")
         assert err.count("\n") == 1
 
     def test_unknown_suite_exit_two(self, capsys):

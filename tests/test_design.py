@@ -4,18 +4,23 @@ A settable value is a parameter with a default or an annotated field of a
 ``@dataclass`` class, counted over the AST of ``src/affinebv/*.py``.  Each
 one doubles a configuration that tests and benchmarks could have to cover,
 so the count may fall but not rise; lower ``MAX_SETTABLE`` when it falls.
-The verification report's schema lists exactly ``VerifyConfig``'s fields.
+Every public function and method has a caller in the package or the
+benchmark.  The verification report's schema lists exactly
+``VerifyConfig``'s fields.
 """
 
 import ast
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 from affinebv.verify import VerifyConfig
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "affinebv"
-MAX_SETTABLE = 104
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "affinebv"
+PERFBENCH = ROOT / "perfbench"
+MAX_SETTABLE = 85
 
 
 def _is_dataclass(decorator):
@@ -69,3 +74,123 @@ def test_report_schema_config_matches_verify_config():
     assert set(config["properties"]) == {
         f.name for f in dataclasses.fields(VerifyConfig)}
     assert set(config["required"]) <= set(config["properties"])
+
+
+def _docstrings(tree):
+    """Docstring nodes of the module, classes and functions in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                out.add(id(body[0].value))
+    return out
+
+
+def references(source):
+    """``(name, line)`` for every name a module uses: a variable, an
+    attribute, or an identifier inside a string constant (the benchmark
+    tracer names what it wraps in strings).  Imports and docstrings are not
+    uses."""
+    tree = ast.parse(source)
+    docs = _docstrings(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docs):
+            out += [(w, node.lineno)
+                    for w in re.findall(r"[A-Za-z_]\w*", node.value)]
+    return out
+
+
+def public_functions(source):
+    """``(qualname, name, first line, last line)`` of each public top-level
+    function and each public method of a public top-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            members = [(f"{node.name}.{m.name}", m) for m in node.body
+                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            continue
+        out += [(q, f.name, f.lineno, f.end_lineno) for q, f in members
+                if not f.name.startswith("_")]
+    return out
+
+
+def functions_without_caller(src, perfbench):
+    """Public functions and methods of the ``*.py`` files in ``src`` that no
+    module of ``src`` (``__init__.py`` aside) or of ``perfbench`` uses outside
+    the function's own definition."""
+    modules = {p: p.read_text() for p in sorted(src.glob("*.py"))
+               if p.name != "__init__.py"}
+    refs = {p: references(s) for p, s in modules.items()}
+    bench = {name for p in sorted(perfbench.glob("*.py"))
+             for name, _ in references(p.read_text())}
+    missing = []
+    for path, source in modules.items():
+        for qualname, name, first, last in public_functions(source):
+            used = name in bench or any(
+                name == ref and (p != path or not first <= line <= last)
+                for p, rs in refs.items() for ref, line in rs)
+            if not used:
+                missing.append(f"{path.stem}.{qualname}")
+    return missing
+
+
+def test_caller_finder_follows_the_rule(tmp_path):
+    src = tmp_path / "src"
+    bench = tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .a import only_exported\n")
+    (src / "a.py").write_text('''
+"""Mentions only_documented."""
+
+def only_exported():
+    pass
+
+def only_documented():
+    """Calls itself: only_documented()."""
+    return only_documented()
+
+def called():
+    pass
+
+def benched():
+    pass
+
+def named():
+    pass
+
+def _private():
+    pass
+
+class Thing:
+    def used(self):
+        called()
+
+    def unused(self):
+        pass
+
+    def _hidden(self):
+        pass
+''')
+    (src / "b.py").write_text("from .a import Thing\nThing().used()\nLAYERS = ('a.named',)\n")
+    (bench / "run.py").write_text("import a\na.benched()\n")
+    assert functions_without_caller(src, bench) == [
+        "a.only_exported", "a.only_documented", "a.Thing.unused"]
+
+
+def test_every_public_function_has_a_caller():
+    missing = functions_without_caller(SRC, PERFBENCH)
+    assert not missing, f"public functions with no caller: {missing}"

@@ -10,13 +10,14 @@ from affinebv import (
     GridFunction,
     GridSpec,
     Weights,
+    compute_atoms,
     constants,
     lq_norm,
     m_r_solve,
     make_mask,
     phi_affine,
-    phi_classical,
     project_constraint,
+    total_variation,
     truncate,
 )
 import affinebv.functionals as functionals
@@ -50,25 +51,34 @@ class TestWeights:
 
 
 class TestPhiClassical:
+    """The classical functional |Du|(Omega) + int a|u| + int b|u-tilde|,
+    part by part: interior total variation and the two weight terms."""
+
     def test_constant_field_zero(self, square64):
         spec, mask = square64
         u = indicator(spec, mask)
         w = Weights(a=0.0, b=0.0)
-        assert phi_classical(u, mask, w, backend=FACE_ATOMS) == 0.0
+        assert total_variation(compute_atoms(u, mask, backend=FACE_ATOMS)) == 0.0
+        assert w.bulk_term(u, mask) == 0.0
+        assert w.boundary_term(u, mask) == 0.0
 
     def test_bulk_weight(self, square64):
         spec, mask = square64
         u = indicator(spec, mask)
-        val = phi_classical(u, mask, Weights(a=1.0, b=0.0),
-                            backend=FACE_ATOMS)
-        assert val == pytest.approx(1.0, rel=1e-12)  # area of the square
+        w = Weights(a=1.0, b=0.0)
+        assert total_variation(compute_atoms(u, mask, backend=FACE_ATOMS)) == 0.0
+        assert w.boundary_term(u, mask) == 0.0
+        # area of the square
+        assert w.bulk_term(u, mask) == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_weight(self, square64):
         spec, mask = square64
         u = indicator(spec, mask)
-        val = phi_classical(u, mask, Weights(a=0.0, b=1.0),
-                            backend=FACE_ATOMS)
-        assert val == pytest.approx(4.0, rel=1e-12)  # perimeter
+        w = Weights(a=0.0, b=1.0)
+        assert total_variation(compute_atoms(u, mask, backend=FACE_ATOMS)) == 0.0
+        assert w.bulk_term(u, mask) == 0.0
+        # perimeter
+        assert w.boundary_term(u, mask) == pytest.approx(4.0, rel=1e-12)
 
 
 class TestPhiAffine:
@@ -315,10 +325,10 @@ class TestMrExhaustion:
         vals = u.values[mask.inside]
         cs = ConstraintSpec(q=1.5, kind="Y", r=2.0)
         assert m_r_vector(vals, 2.0, spec.cell_volume)[1]
-        assert project_vector(vals, cs, spec.cell_volume).converged
+        assert project_vector(vals, cs, spec.cell_volume, None).converged
         monkeypatch.setattr(functionals, "MR_MAX_ITER", 1)
         assert not m_r_vector(vals, 2.0, spec.cell_volume)[1]
-        assert not project_vector(vals, cs, spec.cell_volume).converged
+        assert not project_vector(vals, cs, spec.cell_volume, None).converged
         assert not project_constraint(u, cs, mask).converged
 
     def test_exhaustion_counted_per_start(self, monkeypatch):
@@ -335,7 +345,7 @@ class TestMrExhaustion:
         res = minimize_level(
             mask, Weights(0.0, 0.0), ConstraintSpec(q=1.5, kind="Y", r=2.0),
             config=MinimizeConfig(max_iters=10, n_starts=2, seed=0),
-            quadrature=make_quadrature(2, 64))
+            quadrature=make_quadrature(2, 64), backend=CELL_GRADIENT)
         for rec, hist in zip(res.meta["starts"], res.histories):
             # history: start, accepted steps, final level
             assert rec["unconverged_projections"] == len(hist) - 1
@@ -360,7 +370,8 @@ class TestMrSolveLevels:
             return minimize_level(
                 mask, Weights(0.0, 0.0), cs,
                 config=MinimizeConfig(max_iters=80, n_starts=2, seed=0),
-                quadrature=make_quadrature(2, 128)).level
+                quadrature=make_quadrature(2, 128),
+                backend=CELL_GRADIENT).level
 
         shipped = level()
         monkeypatch.setattr(functionals, "m_r_vector",
@@ -592,7 +603,7 @@ class TestProjectionVector:
         x = np.ones(mask.n_inside)
         x[5] = np.inf
         with pytest.raises(GridError):
-            project_vector(x, ConstraintSpec(q=1.0), spec.cell_volume)
+            project_vector(x, ConstraintSpec(q=1.0), spec.cell_volume, None)
 
     def test_rim_positions(self, disk64):
         spec, mask = disk64

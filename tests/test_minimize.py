@@ -29,11 +29,7 @@ import affinebv.minimize as minimize_module
 from affinebv.energy import COV_EIGEN_EPS
 from affinebv.errors import AffineBVError, GridError
 from affinebv.grid import row_norms
-from affinebv.minimize import (
-    MinimizeConfig,
-    SmoothedProblem,
-    check_gradient,
-)
+from affinebv.minimize import MinimizeConfig, SmoothedProblem
 from affinebv.variation import (
     ATOM_ELISION,
     CELL_GRADIENT,
@@ -44,7 +40,7 @@ from affinebv.variation import (
 )
 from affinebv.verify import square_domain
 
-from conftest import aligned_square, random_field, src_env
+from conftest import aligned_square, check_gradient, random_field, src_env
 
 
 class TestGradient:
@@ -258,7 +254,7 @@ class TestOneDegeneracyTest:
     @pytest.fixture(scope="class")
     def problems(self):
         return {dim: SmoothedProblem(_ball_domain(dim, 20)[1], Weights(),
-                                     make_quadrature(dim, 16))
+                                     make_quadrature(dim, 16), CELL_GRADIENT)
                 for dim in (2, 3)}
 
     @pytest.mark.parametrize("case", range(len(_degeneracy_cases())))
@@ -394,7 +390,7 @@ class TestEvaluationReuse:
         _, mask = aligned_square(48)
         minimize_level(mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
                        config=MinimizeConfig(seed=0, max_iters=60, n_starts=2),
-                       quadrature=make_quadrature(2, 256))
+                       quadrature=make_quadrature(2, 256), backend=CELL_GRADIENT)
         assert calls["value_and_gradient"] > 0
         assert calls["_energy_parts"] == calls["value"]
 
@@ -413,7 +409,8 @@ class TestEvaluationReuse:
 
         def run():
             return minimize_level(mask, Weights(0.0, 0.0), cspec, config=config,
-                                  quadrature=make_quadrature(2, 256))
+                                  quadrature=make_quadrature(2, 256),
+                                  backend=CELL_GRADIENT)
 
         got = run()
         monkeypatch.setattr(minimize_module, "SmoothedProblem", FreshEvaluation)
@@ -430,7 +427,8 @@ class TestStartRecords:
         return minimize_level(
             mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
             config=MinimizeConfig(seed=0, max_iters=60, n_starts=2),
-            quadrature=make_quadrature(2, 256), extra_starts=extra)
+            quadrature=make_quadrature(2, 256), backend=CELL_GRADIENT,
+            extra_starts=extra)
 
     def test_iteration_cap_reported(self):
         spec, mask = aligned_square(48)
@@ -496,7 +494,7 @@ class TestStartRecords:
         res = minimize_level(
             mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
             config=MinimizeConfig(seed=0, max_iters=60, n_starts=1),
-            quadrature=make_quadrature(2, 256))
+            quadrature=make_quadrature(2, 256), backend=CELL_GRADIENT)
         (rec,) = res.meta["starts"]
         assert rec["delta_halvings"] > 0
         # the start's and the final projection are not trial points
@@ -596,7 +594,8 @@ class TestWindowedKernel:
     def test_matches_pair_reference(self, case):
         M, V, eps = case
         _, mask = aligned_square(8)
-        prob = SmoothedProblem(mask, Weights(0.0, 0.0), make_quadrature(2, M))
+        prob = SmoothedProblem(mask, Weights(0.0, 0.0), make_quadrature(2, M),
+                               CELL_GRADIENT)
         _, psi = prob._window_psi(np.ascontiguousarray(V.T), row_norms(V), eps)
         want = _windowed_psi_reference(V, prob.quad.directions, eps)
         np.testing.assert_allclose(psi, want, rtol=1e-12, atol=0)

@@ -4,18 +4,60 @@ import numpy as np
 import pytest
 
 from affinebv import constants
-from affinebv.errors import ShapeError
+from affinebv.errors import AffineBVError, ShapeError
 from affinebv.oracle import (
     EllipsoidBody,
     PolygonBody,
     energy_body,
     psi_ellipsoid,
     psi_polygon,
-    psi_ellipsoid_quadrature,
-    self_check,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def psi_ellipsoid_quadrature(body, xi, n_samples=200_000, rng=None):
+    """Dense boundary quadrature of the integral ``psi_ellipsoid`` closes.
+
+    Parametrizes the boundary as A(s) over the unit sphere; the surface
+    element is |det A| |A^{-T} s| dS and the normal is A^{-T}s / |A^{-T}s|.
+    """
+    xi = np.asarray(xi, dtype=float)
+    n = body.dim
+    A = body.matrix
+    AinvT = np.linalg.inv(A).T
+    if n == 2:
+        t = (np.arange(n_samples) + 0.5) * (2 * np.pi / n_samples)
+        s = np.stack([np.cos(t), np.sin(t)], axis=1)
+        dS = 2 * np.pi / n_samples
+    else:
+        rng = rng or np.random.default_rng(0)
+        s = rng.normal(size=(n_samples, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        dS = 4 * np.pi / n_samples
+    g = s @ AinvT.T
+    return float(abs(np.linalg.det(A)) * np.sum(np.abs(g @ xi)) * dS)
+
+
+def self_check(n_bodies=50, dim=2, seed=7, rtol=1e-6):
+    """Validate the ellipsoid closed form against dense boundary quadrature
+    on random matrices; raises on disagreement."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_bodies):
+        A = rng.normal(size=(dim, dim))
+        while abs(np.linalg.det(A)) < 0.1:
+            A = rng.normal(size=(dim, dim))
+        body = EllipsoidBody(dim=dim, matrix=A)
+        xi = rng.normal(size=dim)
+        xi /= np.linalg.norm(xi)
+        closed = psi_ellipsoid(body, xi)
+        dense = psi_ellipsoid_quadrature(body, xi, rng=rng)
+        tol = rtol if dim == 2 else 5e-3  # MC quadrature in 3D
+        if abs(closed - dense) > tol * abs(closed):
+            raise AffineBVError(
+                f"ellipsoid oracle self-check failed: {closed} vs {dense}"
+            )
+    return True
 
 
 def unit(theta):

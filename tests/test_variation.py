@@ -127,7 +127,8 @@ class TestDirectionalVariation:
 
     def test_non_unit_direction_rejected(self, disk64):
         spec, mask = disk64
-        atoms = compute_atoms(random_field(spec, mask, seed=13), mask)
+        atoms = compute_atoms(random_field(spec, mask, seed=13), mask,
+                              backend=FACE_ATOMS)
         with pytest.raises(GridError):
             directional_variation(atoms, np.array([1.0, 1.0]))
 

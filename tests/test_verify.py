@@ -19,11 +19,12 @@ from affinebv.verify import (
     check_superadditivity,
     check_wirtinger_gap,
     disk_domain,
-    ellipse_domain,
     random_bumps,
     run_suite,
     square_domain,
 )
+
+from conftest import ellipse_domain
 
 
 @pytest.fixture
@@ -201,7 +202,7 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("field", ["n_fields"])
     def test_negative_counts_rejected(self, small_config, field):
-        with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
             small_config(**{field: -1})
 
     @pytest.mark.parametrize("suites", [("sobolev-zhang",), "huang_li",
@@ -212,11 +213,11 @@ class TestRunSuite:
         with pytest.raises(ConfigError, match="unknown suite"):
             small_config(suites=suites)
 
-    def test_empty_corpus_vacuous(self, small_config):
-        report = run_suite(small_config(n_fields=0))
-        assert report.passed
-        assert all(r.details.get("empty") for r in report.records)
-        assert all(r.details["vacuous"] for r in report.records)
+    def test_empty_corpus_rejected(self, small_config):
+        # the fixed corpora do not depend on n_fields; an empty random corpus
+        # is refused rather than reported as checks that passed
+        with pytest.raises(ConfigError, match="n_fields must be >= 1, got 0"):
+            small_config(n_fields=0)
 
     def test_zero_norm_corpus_vacuous(self):
         _, mask = disk_domain(48)
@@ -266,8 +267,8 @@ class TestRunSuite:
 
     def test_deterministic_reports_identical(self, small_config):
         cfg = small_config(suites=("comparisons",))
-        r1 = run_suite(cfg).to_json()
-        r2 = run_suite(cfg).to_json()
+        r1 = json.dumps(run_suite(cfg).as_dict(), indent=2, sort_keys=True)
+        r2 = json.dumps(run_suite(cfg).as_dict(), indent=2, sort_keys=True)
         assert r1 == r2
 
     def test_schema_valid(self, small_config):
@@ -275,7 +276,8 @@ class TestRunSuite:
             resources.files("affinebv").joinpath("report_schema.json")
             .read_text())
         report = run_suite(small_config(suites=("wirtinger_gap",)))
-        jsonschema.validate(json.loads(report.to_json()), schema)
+        jsonschema.validate(json.loads(
+            json.dumps(report.as_dict(), indent=2, sort_keys=True)), schema)
 
     def test_schema_golden_shape(self, small_config):
         report = run_suite(small_config(suites=("wirtinger_gap",)))
