@@ -161,7 +161,7 @@ def m_r_vector(vals, r, cell_volume):
 def rim_cells(mask):
     """Boolean field marking inside cells adjacent to the boundary."""
     rim = np.zeros(mask.spec.shape, dtype=bool)
-    rim[tuple(mask.face_cells.T)] = True
+    np.put(rim, mask.face_cells, True)
     return rim
 
 

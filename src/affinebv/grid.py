@@ -17,7 +17,7 @@ boxes and polygons carry their axis-aligned normal and the full area
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -100,18 +100,20 @@ class DomainMask:
     """Inside indicator plus the deterministic boundary-face enumeration.
     No inside cell lies in the two outermost cell layers of the grid.
 
-    Faces are ordered lexicographically by inside-cell flat index, then axis,
-    then side (-, +).  ``true_normals`` is present only for analytic shape
-    descriptors (ball / ellipsoid).  Frozen, so the atom stencils it caches
+    Each boundary face has one record: the C-order flat index of its inside
+    cell, its axis, its side and its unit outward normal.  Faces are ordered
+    by flat cell index, then axis, then side (-, +).  The normal is the
+    analytic one at the face center for balls and ellipsoids, the axis
+    normal otherwise.  Frozen, so the atom stencils it caches
     (:meth:`stencil`) always describe it.
     """
 
     spec: GridSpec
     inside: np.ndarray
-    face_cells: np.ndarray        # (K, dim) index of the adjacent inside cell
+    face_cells: np.ndarray        # (K,) flat index of the adjacent inside cell
     face_axes: np.ndarray         # (K,)
     face_signs: np.ndarray        # (K,) +1 or -1, outward along the axis
-    true_normals: np.ndarray | None = None   # (K, dim) analytic outward normals
+    normals: np.ndarray           # (K, dim) unit outward normals
     descriptor: dict = field(default_factory=dict)
 
     @property
@@ -122,30 +124,15 @@ class DomainMask:
     def n_faces(self):
         return len(self.face_axes)
 
-    def axis_normals(self):
-        """Axis-aligned unit outward normals, (K, dim)."""
-        nu = np.zeros((self.n_faces, self.spec.dim))
-        nu[np.arange(self.n_faces), self.face_axes] = self.face_signs
-        return nu
-
-    def face_normals_and_areas(self):
-        """Per-face (normal, area): the analytic normal and the area
-        ``h**(n-1) * |nu . e_axis|`` where ``true_normals`` is present, else
-        the axis normal and the full face area."""
-        base = self.spec.face_area
-        if self.true_normals is None:
-            return self.axis_normals(), np.full(self.n_faces, base)
-        w = np.abs(self.true_normals[np.arange(self.n_faces), self.face_axes])
-        return self.true_normals, base * w
+    def face_areas(self):
+        """Per-face area ``h**(n-1) * |nu . e_axis|``: the full face area
+        for an axis normal."""
+        w = np.abs(self.normals[np.arange(self.n_faces), self.face_axes])
+        return self.spec.face_area * w
 
     def face_centers(self):
-        spec = self.spec
-        centers = np.asarray(spec.origin) + (self.face_cells + 0.5) * spec.spacing
-        offs = np.zeros_like(centers)
-        offs[np.arange(self.n_faces), self.face_axes] = (
-            self.face_signs * 0.5 * spec.spacing
-        )
-        return centers + offs
+        return _face_centers(self.spec, self.face_cells, self.face_axes,
+                             self.face_signs)
 
     @functools.cached_property
     def _stencils(self):
@@ -300,37 +287,34 @@ def make_mask(spec, shape_spec):
     if not inside.any():
         raise ShapeError("shape rasterizes to an empty interior")
 
-    cells, axes, signs = [], [], []
-    for d in range(spec.dim):
-        for s in (-1, 1):
-            # the margin keeps inside cells off the grid edge, so the
-            # wrap-around of roll never pairs two inside cells
-            idx = np.argwhere(inside & ~np.roll(inside, -s, axis=d))
-            cells.append(idx)
-            axes.append(np.full(len(idx), d))
-            signs.append(np.full(len(idx), s))
-    face_cells = np.concatenate(cells)
-    face_axes = np.concatenate(axes)
-    face_signs = np.concatenate(signs)
-    flat = np.ravel_multi_index(tuple(face_cells.T), spec.shape)
-    order = np.lexsort((face_signs, face_axes, flat))
-    face_cells = face_cells[order]
-    face_axes = face_axes[order]
-    face_signs = face_signs[order]
-    if len(face_axes) == 0:
-        raise ShapeError("mask has no boundary faces")
+    n = spec.dim
+    # is_face[cell, axis, side]: the margin keeps inside cells off the grid
+    # edge, so the wrap-around of roll never pairs two inside cells
+    is_face = np.empty(inside.shape + (n, 2), dtype=bool)
+    for d in range(n):
+        for k, s in enumerate((-1, 1)):
+            is_face[..., d, k] = inside & ~np.roll(inside, -s, axis=d)
+    # C order of is_face is the face order: flat cell, then axis, then side
+    face_cells, rest = divmod(np.flatnonzero(is_face), 2 * n)
+    face_axes, side = divmod(rest, 2)
+    face_signs = 2 * side - 1
+    if normal_fn is None:
+        normals = np.zeros((len(face_axes), n))
+        normals[np.arange(len(face_axes)), face_axes] = face_signs
+    else:
+        normals = normal_fn(_face_centers(spec, face_cells, face_axes, face_signs))
+    return DomainMask(spec=spec, inside=inside, face_cells=face_cells,
+                      face_axes=face_axes, face_signs=face_signs,
+                      normals=normals, descriptor=dict(shape_spec))
 
-    mask = DomainMask(
-        spec=spec,
-        inside=inside,
-        face_cells=face_cells,
-        face_axes=face_axes,
-        face_signs=face_signs,
-        descriptor=dict(shape_spec),
-    )
-    if normal_fn is not None:
-        mask = replace(mask, true_normals=normal_fn(mask.face_centers()))
-    return mask
+
+def _face_centers(spec, cells, axes, signs):
+    """Centers (K, dim) of the faces on side ``signs`` along ``axes`` of the
+    flat cells ``cells``."""
+    idx = np.stack(np.unravel_index(cells, spec.shape), axis=1)
+    centers = np.asarray(spec.origin) + (idx + 0.5) * spec.spacing
+    centers[np.arange(len(axes)), axes] += signs * 0.5 * spec.spacing
+    return centers
 
 
 def _check_same_grid(u, mask):
@@ -347,9 +331,8 @@ def zero_extend(u, mask):
 def extract_trace(u, mask):
     """Boundary trace: the adjacent inside-cell value per boundary face."""
     _check_same_grid(u, mask)
-    vals = u.values[tuple(mask.face_cells.T)]
-    normals, areas = mask.face_normals_and_areas()
-    return TraceData(values=vals, normals=normals, areas=areas)
+    return TraceData(values=np.take(u.values, mask.face_cells),
+                     normals=mask.normals, areas=mask.face_areas())
 
 
 def mollify(u, sigma):

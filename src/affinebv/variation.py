@@ -122,8 +122,8 @@ class AtomStencil:
             self.interior.append((rank[np.r_[fwd, end]], np.r_[fwd, end - step], step))
         self.n_interior = n if backend == FACE_ATOMS else self.n_inside
         self.n_rows = self.n_interior + mask.n_faces
-        self.face_cells = np.ravel_multi_index(tuple(mask.face_cells.T), spec.shape)
-        self.normals, self.areas = mask.face_normals_and_areas()
+        self.face_cells, self.normals = mask.face_cells, mask.normals
+        self.areas = mask.face_areas()
 
     def apply(self, values):
         """Atom components ``(n_rows, dim)`` of the field with these cell

@@ -75,8 +75,8 @@ class TestMakeMask:
         with pytest.raises(dataclasses.FrozenInstanceError):
             mask.inside = ~mask.inside
         with pytest.raises(dataclasses.FrozenInstanceError):
-            mask.true_normals = None
-        assert mask.true_normals is not None   # set at construction
+            mask.normals = None
+        assert mask.normals.shape == (mask.n_faces, 2)   # set at construction
 
     def test_one_stencil_per_backend(self, square64):
         _, mask = square64
@@ -91,16 +91,15 @@ class TestMakeMask:
 
     def test_faces_sorted_deterministically(self, square64):
         _, mask = square64
-        flat = np.ravel_multi_index(tuple(mask.face_cells.T),
-                                    mask.spec.shape)
-        order = np.lexsort((mask.face_signs, mask.face_axes, flat))
+        order = np.lexsort((mask.face_signs, mask.face_axes, mask.face_cells))
         assert np.array_equal(order, np.arange(mask.n_faces))
 
     def test_every_face_separates_inside_from_outside(self, disk64):
         _, mask = disk64
         inside = mask.inside
-        for cell, ax, sg in zip(mask.face_cells, mask.face_axes,
+        for flat, ax, sg in zip(mask.face_cells, mask.face_axes,
                                 mask.face_signs):
+            cell = np.array(np.unravel_index(flat, mask.spec.shape))
             assert inside[tuple(cell)]
             nb = cell.copy()
             nb[ax] += sg
@@ -130,8 +129,9 @@ def random_descriptor(kind, dim, rng):
 def reference_mask(spec, desc):
     """Rasterization on the full cell-center array: the inside test reduces
     over the coordinate axis, faces come from a loop over inside cells in C
-    order, then axis, then side (-, +).  Returns (inside, face_cells,
-    face_axes, face_signs, face_centers, true_normals or None)."""
+    order, then axis, then side (-, +).  Returns (inside, face_cells as
+    (K, dim) indices, face_axes, face_signs, face_centers, normals), with
+    axis normals for boxes and polygons."""
     pts = spec.cell_centers()
     normal = None
     if desc["shape"] == "ball":
@@ -174,8 +174,14 @@ def reference_mask(spec, desc):
                     off[d] = s * 0.5 * spec.spacing
                     centers.append(pts[tuple(cell)] + off)
     centers = np.array(centers)
+    if normal is None:
+        normals = np.zeros((len(axes), spec.dim))
+        for k, (d, s) in enumerate(zip(axes, signs)):
+            normals[k, d] = s
+    else:
+        normals = normal(centers)
     return (inside, np.array(cells), np.array(axes), np.array(signs), centers,
-            None if normal is None else normal(centers))
+            normals)
 
 
 class TestRasterReference:
@@ -194,14 +200,17 @@ class TestRasterReference:
         mask = make_mask(spec, desc)
         inside, cells, axes, signs, centers, normals = reference_mask(spec, desc)
         assert np.array_equal(mask.inside, inside)
-        assert np.array_equal(mask.face_cells, cells)
+        assert np.array_equal(mask.face_cells,
+                              np.ravel_multi_index(tuple(cells.T), spec.shape))
         assert np.array_equal(mask.face_axes, axes)
         assert np.array_equal(mask.face_signs, signs)
         assert np.array_equal(mask.face_centers(), centers)
-        if normals is None:
-            assert mask.true_normals is None
-        else:
-            assert np.array_equal(mask.true_normals, normals)
+        assert np.array_equal(mask.normals, normals)
+        full = spec.spacing ** (dim - 1)
+        areas = full * np.abs(normals[np.arange(len(axes)), axes])
+        assert np.array_equal(mask.face_areas(), areas)
+        if kind in ("box", "polygon"):
+            assert np.all(mask.face_areas() == full)
 
 
 class TestZeroExtend:
@@ -255,7 +264,7 @@ class TestTrace:
         spec, mask = disk64
         u = indicator(spec, mask)
         # staircase measurement: every boundary face at full area
-        staircase = (np.sum(np.abs(u.values[tuple(mask.face_cells.T)]))
+        staircase = (np.sum(np.abs(np.take(u.values, mask.face_cells)))
                      * spec.face_area)
         # converges to 8R, not 2 pi R
         assert staircase == pytest.approx(8.0, rel=0.05)
