@@ -27,7 +27,6 @@ from .grid import (
     DomainMask,
     GridFunction,
     GridSpec,
-    TraceData,
     extract_trace,
     lq_norm,
     make_mask,

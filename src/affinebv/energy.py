@@ -206,9 +206,9 @@ def affine_energy_interior(u, mask, backend, quadrature):
     return energy_of_atoms(compute_atoms(u, mask, backend=backend), quadrature)
 
 
-def affine_energy_boundary(trace, quadrature):
-    """E_dOmega(u-tilde): boundary atoms only."""
-    return energy_of_atoms(atoms_from_trace(trace, quadrature.dim), quadrature)
+def affine_energy_boundary(trace, mask, quadrature):
+    """E_dOmega(u-tilde): boundary atoms only, of the trace on ``mask``."""
+    return energy_of_atoms(atoms_from_trace(trace, mask), quadrature)
 
 
 def affine_energy_extended(u, mask, backend, quadrature):

@@ -46,8 +46,8 @@ class Weights:
         return float(np.sum(np.asarray(self.a) * vals) * mask.spec.cell_volume)
 
     def boundary_term(self, u, mask):
-        tr = extract_trace(u, mask)
-        return float(np.sum(np.asarray(self.b) * np.abs(tr.values) * tr.areas))
+        return float(np.sum(np.asarray(self.b) * np.abs(extract_trace(u, mask))
+                            * mask.face_areas()))
 
 
 @dataclass(frozen=True)

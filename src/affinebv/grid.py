@@ -148,18 +148,6 @@ class DomainMask:
         return self._stencils[backend]
 
 
-@dataclass(frozen=True)
-class TraceData:
-    """Boundary trace: one value per boundary face with normal and area."""
-
-    values: np.ndarray
-    normals: np.ndarray
-    areas: np.ndarray
-
-    def l1_norm(self):
-        return float(np.sum(np.abs(self.values) * self.areas))
-
-
 def row_norms(a):
     """Euclidean norm of each row of ``a`` (N, n).  The squares are summed
     one component at a time in component order, which is bit-identical to
@@ -329,10 +317,10 @@ def zero_extend(u, mask):
 
 
 def extract_trace(u, mask):
-    """Boundary trace: the adjacent inside-cell value per boundary face."""
+    """Boundary trace: the adjacent inside-cell value of each boundary face,
+    shape (K,) in the order of ``mask.normals`` and ``mask.face_areas()``."""
     _check_same_grid(u, mask)
-    return TraceData(values=np.take(u.values, mask.face_cells),
-                     normals=mask.normals, areas=mask.face_areas())
+    return np.take(u.values, mask.face_cells)
 
 
 def mollify(u, sigma):

@@ -173,10 +173,12 @@ def compute_atoms(u, mask, backend, include_boundary=False):
                           source="extended" if include_boundary else "interior")
 
 
-def atoms_from_trace(trace, dim):
-    """Boundary atoms built directly from :class:`TraceData`."""
-    v = _boundary_rows(trace.values, trace.normals, trace.areas)
-    return VariationAtoms(dim=dim, atoms=v, backend="trace", source="boundary")
+def atoms_from_trace(trace, mask):
+    """Boundary atoms of the (K,) trace values on the faces of ``mask``
+    (:func:`~affinebv.grid.extract_trace`), with its normals and areas."""
+    v = _boundary_rows(trace, mask.normals, mask.face_areas())
+    return VariationAtoms(dim=mask.spec.dim, atoms=v, backend="trace",
+                          source="boundary")
 
 
 def total_variation(atoms):

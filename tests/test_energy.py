@@ -167,7 +167,7 @@ class TestAffineEnergies:
         spec, mask = square64
         u = indicator(spec, mask)
         e_ext = affine_energy_extended(u, mask, FACE_ATOMS, quad512)
-        e_bdy = affine_energy_boundary(extract_trace(u, mask), quad512)
+        e_bdy = affine_energy_boundary(extract_trace(u, mask), mask, quad512)
         assert e_ext.value == pytest.approx(constants(2).alpha, rel=1e-3)
         assert e_bdy.value == pytest.approx(e_ext.value, rel=1e-12)
 

@@ -156,6 +156,10 @@ class TestIndividualChecks:
         rec = check_affine_invariance(fields, mask, quad, n_maps=10, seed=0)
         assert rec.passed
         assert rec.details["atom_worst"] <= 1e-3
+        # the resample path runs for every field, never skipped, and
+        # compares two different energies
+        assert rec.details["resample_pairs"] == len(fields)
+        assert 0 < rec.details["resample_worst"] <= verify.AFFINE_RESAMPLE_TOL
 
     def test_wirtinger_gap(self):
         _, mask = square_domain(64)
@@ -186,15 +190,25 @@ class TestRunSuite:
         for suite in ("comparisons", "superadditivity", "wirtinger_gap"):
             assert suite in names
 
-    def test_default_suite_builds_four_stencils(self, monkeypatch):
-        # two masks (disk and square) times two backends: every other atom
-        # set of the suite, about 980 of them, reuses its mask's stencil
+    def test_default_suite_builds_five_stencils(self, monkeypatch):
+        # two masks (disk and square) times two backends, plus the padded
+        # box of the resample path: every other atom set of the suite,
+        # about 980 of them, reuses its mask's stencil
         built = count_calls(monkeypatch, variation, "AtomStencil")
         report = run_suite(VerifyConfig())
         assert report.passed
-        assert len(built) == 4
+        assert len(built) == 5
         counts = {r.name: r.count for r in report.records}
         assert counts["affine_invariance"] == 3 * verify.AFFINE_MAPS == 150
+
+    @pytest.mark.parametrize("seed", [1175636404, 333288878])
+    def test_resample_path_shares_one_support(self, seed):
+        # at these suite seeds the resample path compared E(u o T) cut to
+        # the disk with E(u) and reported 0.0234 and more against 0.02
+        report = run_suite(VerifyConfig(seed=seed))
+        rec = {r.name: r for r in report.records}["affine_invariance"]
+        assert rec.passed, rec.details
+        assert rec.count == 150 and rec.details["resample_pairs"] == 3
 
     def test_small_config_draws_fewer_maps(self, small_config):
         report = run_suite(small_config(suites=("affine_invariance",)))
