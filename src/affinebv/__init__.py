@@ -16,7 +16,6 @@ from .energy import (
 from .errors import AffineBVError, ConfigError, GridError, ShapeError
 from .functionals import (
     ConstraintSpec,
-    TruncationPair,
     Weights,
     m_r_solve,
     phi_affine,

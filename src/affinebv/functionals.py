@@ -70,20 +70,13 @@ class ConstraintSpec:
         return abs(self.q - dim / (dim - 1.0)) < 1e-12
 
 
-@dataclass(frozen=True)
-class TruncationPair:
-    """Split u = T_h u + R_h u with |T_h u| <= h, exact pointwise."""
-
-    truncated: GridFunction
-    remainder: GridFunction
-
-
 def truncate(u, h):
+    """The split ``(T_h u, R_h u)`` of u = T_h u + R_h u with |T_h u| <= h,
+    exact pointwise."""
     if not h > 0:
         raise AffineBVError(f"truncation level must be > 0, got {h}")
     t = np.clip(u.values, -h, h)
-    return TruncationPair(truncated=u.with_values(t),
-                          remainder=u.with_values(u.values - t))
+    return u.with_values(t), u.with_values(u.values - t)
 
 
 def phi_affine(u, mask, weights, quadrature, backend):
@@ -92,11 +85,6 @@ def phi_affine(u, mask, weights, quadrature, backend):
     return (e.value
             + weights.bulk_term(u, mask)
             + weights.boundary_term(u, mask))
-
-
-def _mr_residual(vals, m, r, cell_volume):
-    d = vals - m
-    return float(np.sum(np.abs(d) ** (r - 1.0) * d) * cell_volume)
 
 
 def m_r_solve(u, mask, r):
@@ -137,7 +125,7 @@ def m_r_vector(vals, r, cell_volume):
     for _ in range(MR_MAX_ITER):
         d = vals - m
         p = np.abs(d) ** (r - 1.0)
-        # the same arithmetic as _mr_residual, so the contract holds for it
+        # the arithmetic of mr_residual in tests/conftest.py, which checks it
         g = float(np.sum(p * d) * cell_volume)
         # exact root; also avoids 0/0 when every |u - m|^(r-1) underflows
         if g == 0.0:

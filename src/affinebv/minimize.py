@@ -46,7 +46,6 @@ from .errors import AffineBVError, ConfigError
 from .functionals import phi_affine, project_vector, rim_positions
 from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
-    ATOM_ELISION,
     check_finite_atoms,
     covariance,
     covariance_eigen_ratio,
@@ -82,23 +81,26 @@ class MinimizeConfig:
 
 @dataclass
 class MinimizeResult:
+    """The best level of a multistart solve and its extremal; :meth:`as_dict`
+    adds ``critical_flag`` (:func:`check_critical_threshold` at the level) and
+    ``degenerate`` (every start in ``meta["starts"]`` stopped degenerate)."""
+
     level: float
     extremal: GridFunction
     norm_residual: float
     orth_residual: float
     histories: list
-    critical_flag: bool
-    degenerate: bool
     start_levels: list     # nonsmooth level per start, None where none
     meta: dict = field(default_factory=dict)
 
     def as_dict(self):
+        threshold = check_critical_threshold(self.level, constants(self.extremal.spec.dim))
         return {
             "level": self.level,
             "norm_residual": self.norm_residual,
             "orth_residual": self.orth_residual,
-            "critical_flag": self.critical_flag,
-            "degenerate": self.degenerate,
+            "critical_flag": threshold["critical_flag"],
+            "degenerate": {s["stop"] for s in self.meta["starts"]} == {"degenerate"},
             "n_starts": len(self.histories),
             "start_levels": self.start_levels,
             **self.meta,
@@ -112,8 +114,8 @@ class SmoothedProblem:
     constructor stacks the atom stencil's sparse operators, so one product
     gives a point's components as the rows of a (dim, N) array.  Their
     norms ``r_i`` feed both the degeneracy test (the covariance
-    ``M = sum v v^T / r`` of :func:`~affinebv.variation.covariance_eigen_ratio`)
-    and the energy.  A point's weight and energy parts are kept until the
+    ``M = sum v v^T / r`` of :func:`~affinebv.variation.covariance`) and the
+    energy.  A point's weight and energy parts are kept until the
     next point, so the gradient at an accepted trial recomputes neither.
 
     Let ``eps = delta * atom_scale`` and, for atom i, ``r_i = |v_i|`` and
@@ -192,12 +194,10 @@ class SmoothedProblem:
 
     def _degenerate(self, W, r):
         """:func:`covariance_eigen_ratio` below ``COV_EIGEN_EPS`` for the atoms
-        with components ``W`` (dim, N) and norms ``r``: atoms lighter than
-        ``ATOM_ELISION`` are dropped, and M = sum v v^T / r comes from the
-        norms the objective uses."""
+        with components ``W`` (dim, N) and norms ``r``, the norms the
+        objective uses."""
         check_finite_atoms(W, r)
-        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r >= ATOM_ELISION)
-        return eigen_ratio((W * inv) @ W.T) < COV_EIGEN_EPS
+        return eigen_ratio(covariance(W, r)) < COV_EIGEN_EPS
 
     # -- objective ---------------------------------------------------------
     def _energy_parts(self, W, r, delta):
@@ -521,9 +521,9 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
     """Best level over multistart smoothed projected descent.
 
     The result's ``level`` is the nonsmooth affine functional at the final
-    projected extremal; ``critical_flag`` reports the existence-threshold
-    test ``0 < level < n omega_n^(1/n)``.  ``degenerate`` holds when every
-    start stopped at a degenerate point.
+    projected extremal, NaN when no start reached one; its report adds the
+    existence-threshold test ``0 < level < n omega_n^(1/n)`` and whether
+    every start stopped at a degenerate point (:class:`MinimizeResult`).
     """
     prob = SmoothedProblem(mask, weights, quadrature, backend=backend)
     rng = np.random.default_rng(config.seed)
@@ -554,13 +554,12 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
         levels.append(level)
         if best is None or level < best[0]:
             best = (level, pres)
-    degenerate = bool(starts) and all(s["stop"] == "degenerate" for s in starts)
     if best is None:
         return MinimizeResult(
             level=float("nan"), extremal=GridFunction.zeros(mask.spec),
             norm_residual=float("nan"), orth_residual=float("nan"),
-            histories=histories, critical_flag=False, degenerate=degenerate,
-            start_levels=levels, meta={"failed": True, "starts": starts},
+            histories=histories, start_levels=levels,
+            meta={"failed": True, "starts": starts},
         )
     level, pres = best
     return MinimizeResult(
@@ -569,8 +568,6 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
         norm_residual=pres.norm_residual,
         orth_residual=pres.orth_residual,
         histories=histories,
-        critical_flag=check_critical_threshold(level, prob.consts)["critical_flag"],
-        degenerate=degenerate,
         start_levels=levels,
         meta={
             "backend": backend,
@@ -620,7 +617,7 @@ def sl_n_minimize_tv(atoms):
     T = np.eye(n)
     for _ in range(SLN_MAX_ITERS):
         w = atoms.transformed(T)
-        lam, Q = np.linalg.eigh(covariance(w))
+        lam, Q = np.linalg.eigh(covariance(w.atoms.T, w.masses()))
         if lam[0] > (1 - ISOTROPY_TOL) * lam[-1]:
             return T, total_variation(w), float(lam[0] / lam[-1])
         # M^{-1/2} is SPD, so det T stays positive

@@ -233,16 +233,17 @@ def psi_samples(atoms, directions):
     return out
 
 
-def covariance(atoms):
-    """M = sum v v^T / |v|: symmetric PSD with trace = total variation.
+def covariance(components, masses):
+    """M = sum v v^T / |v| over the atoms with components (dim, N) and
+    masses (N,), leaving out atoms lighter than ``ATOM_ELISION``: symmetric
+    PSD with trace = total variation, and zero for no atoms.
 
     ``xi^T M xi <= Psi_xi <= sqrt(TV * xi^T M xi)``, so the variation
     vanishes in some direction iff M is rank deficient.
     """
-    if len(atoms) == 0:
-        return np.zeros((atoms.dim, atoms.dim))
-    v = atoms.atoms
-    return (v.T * (1.0 / atoms.masses())) @ v
+    inv = np.divide(1.0, masses, out=np.zeros_like(masses),
+                    where=masses >= ATOM_ELISION)
+    return (components * inv) @ components.T
 
 
 def eigen_ratio(M):
@@ -257,4 +258,4 @@ def eigen_ratio(M):
 
 def covariance_eigen_ratio(atoms):
     """:func:`eigen_ratio` of the atoms' covariance; 0 for empty atom sets."""
-    return eigen_ratio(covariance(atoms))
+    return eigen_ratio(covariance(atoms.atoms.T, atoms.masses()))

@@ -269,11 +269,8 @@ def check_superadditivity(corpus, mask, quadrature):
             mags, np.linspace(0.15, 0.95, SUPERADDITIVITY_LEVELS))
         e = affine_energy_extended(u, mask, FACE_ATOMS, quadrature)
         for h in levels:   # quantiles of positive magnitudes: h > 0
-            pair = truncate(u, float(h))
-            et = affine_energy_extended(pair.truncated, mask, FACE_ATOMS,
-                                        quadrature)
-            er = affine_energy_extended(pair.remainder, mask, FACE_ATOMS,
-                                        quadrature)
+            et, er = (affine_energy_extended(v, mask, FACE_ATOMS, quadrature)
+                      for v in truncate(u, float(h)))
             scale = max(e.value, 1e-30)
             worst = max(worst, (et.value + er.value - e.value) / scale)
             count += 1
@@ -321,16 +318,17 @@ def check_affine_invariance(corpus, mask, quadrature, n_maps, seed):
                                     quadrature).value
         resample.append(abs(e2 - e_pad) / e_pad)
     resample_worst = max(resample, default=0.0)
+    # the path with the smaller slack is the one reported
+    worst, tol = min((atom_worst, AFFINE_ATOM_TOL),
+                     (resample_worst, AFFINE_RESAMPLE_TOL), key=lambda p: p[1] - p[0])
     return _record(
         name="affine_invariance",
         statement="E(u o T) = E(u) for det T = 1",
         corpus=f"{count} (field, map) pairs",
-        count=count, worst_margin=float(max(atom_worst, resample_worst)),
-        tolerance=AFFINE_ATOM_TOL,
-        slack=min(AFFINE_ATOM_TOL - atom_worst,
-                  AFFINE_RESAMPLE_TOL - resample_worst),
+        count=count, worst_margin=float(worst), tolerance=tol, slack=tol - worst,
         details={"atom_worst": atom_worst, "resample_worst": resample_worst,
-                 "resample_pairs": len(resample)},
+                 "resample_pairs": len(resample),
+                 "resample_tolerance": AFFINE_RESAMPLE_TOL},
     )
 
 

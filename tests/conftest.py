@@ -81,6 +81,13 @@ def random_field(spec, mask, seed=0, smooth=None):
     return u
 
 
+def mr_residual(vals, m, r, cell_volume):
+    """g(m) = sum |vals - m|^(r-1) (vals - m) * cell_volume, the residual
+    whose root m_r_vector finds."""
+    d = vals - m
+    return float(np.sum(np.abs(d) ** (r - 1.0) * d) * cell_volume)
+
+
 def check_gradient(prob, x, delta, n_coords=20, rng=None):
     """Central-difference check of the analytic gradient of a
     ``SmoothedProblem`` on random coordinates, step

@@ -24,7 +24,7 @@ from affinebv import (
     sl_n_minimize_tv,
     total_variation,
 )
-from affinebv.functionals import _mr_residual, clamp_rim
+from affinebv.functionals import clamp_rim
 from affinebv.minimize import MinimizeConfig, SmoothedProblem
 from affinebv.oracle import PolygonBody, psi_polygon
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
@@ -38,7 +38,13 @@ from affinebv.verify import (
     square_domain,
 )
 
-from conftest import aligned_square, check_gradient, ellipse_domain, random_field
+from conftest import (
+    aligned_square,
+    check_gradient,
+    ellipse_domain,
+    mr_residual,
+    random_field,
+)
 
 
 def report(num, name, ok, detail):
@@ -308,7 +314,7 @@ def test_criterion_12_generalized_mean():
         c, s = rng.uniform(-3, 3), rng.uniform(0.2, 4.0)
         for r in (1.0, 1.5, 2.0):
             m = m_r_solve(u, mask, r)
-            res = _mr_residual(vals, m, r, spec.cell_volume)
+            res = mr_residual(vals, m, r, spec.cell_volume)
             scale = float(np.sum(np.abs(vals - m) ** (r - 1.0))
                           * spec.cell_volume)
             res_worst = max(res_worst, abs(res) / max(scale, 1e-30))

@@ -5,8 +5,8 @@ A settable value is a parameter with a default or an annotated field of a
 one doubles a configuration that tests and benchmarks could have to cover,
 so the count may fall but not rise; lower ``MAX_SETTABLE`` when it falls.
 Every public function and method has a caller in the package or the
-benchmark.  The verification report's schema lists exactly
-``VerifyConfig``'s fields.
+benchmark, and every private one a caller in the package.  The
+verification report's schema lists exactly ``VerifyConfig``'s fields.
 """
 
 import ast
@@ -20,7 +20,7 @@ from affinebv.verify import VerifyConfig
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "affinebv"
 PERFBENCH = ROOT / "perfbench"
-MAX_SETTABLE = 82
+MAX_SETTABLE = 78
 
 
 def _is_dataclass(decorator):
@@ -110,35 +110,42 @@ def references(source):
     return out
 
 
-def public_functions(source):
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def functions(source, private=False):
     """``(qualname, name, first line, last line)`` of each public top-level
-    function and each public method of a public top-level class."""
+    function and each public method of a public top-level class; with
+    ``private``, of each private top-level function and each private method
+    of a top-level class instead (dunders are neither)."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             members = [(node.name, node)]
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        elif isinstance(node, ast.ClassDef) and (private or not _is_private(node.name)):
             members = [(f"{node.name}.{m.name}", m) for m in node.body
                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
         else:
             continue
         out += [(q, f.name, f.lineno, f.end_lineno) for q, f in members
-                if not f.name.startswith("_")]
+                if _is_private(f.name) == private and not f.name.endswith("__")]
     return out
 
 
-def functions_without_caller(src, perfbench):
-    """Public functions and methods of the ``*.py`` files in ``src`` that no
-    module of ``src`` (``__init__.py`` aside) or of ``perfbench`` uses outside
-    the function's own definition."""
+def functions_without_caller(src, perfbench, private=False):
+    """Public (or, with ``private``, private) functions and methods of the
+    ``*.py`` files in ``src`` that no module of ``src`` (``__init__.py``
+    aside) uses outside the function's own definition, nor, for public
+    ones, a module of ``perfbench``."""
     modules = {p: p.read_text() for p in sorted(src.glob("*.py"))
                if p.name != "__init__.py"}
     refs = {p: references(s) for p, s in modules.items()}
-    bench = {name for p in sorted(perfbench.glob("*.py"))
-             for name, _ in references(p.read_text())}
+    bench = set() if private else {name for p in sorted(perfbench.glob("*.py"))
+                                   for name, _ in references(p.read_text())}
     missing = []
     for path, source in modules.items():
-        for qualname, name, first, last in public_functions(source):
+        for qualname, name, first, last in functions(source, private):
             used = name in bench or any(
                 name == ref and (p != path or not first <= line <= last)
                 for p, rs in refs.items() for ref, line in rs)
@@ -191,6 +198,51 @@ class Thing:
         "a.only_exported", "a.only_documented", "a.Thing.unused"]
 
 
+def test_private_caller_finder_follows_the_rule(tmp_path):
+    src = tmp_path / "src"
+    bench = tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .a import _exported\n")
+    (src / "a.py").write_text('''
+def _exported():
+    pass
+
+def _recursive():
+    return _recursive()
+
+def _called():
+    pass
+
+def _benched():
+    pass
+
+class Thing:
+    def __init__(self):
+        self._used()
+
+    def _used(self):
+        _called()
+
+    def _unused(self):
+        pass
+
+class _Hidden:
+    def _unused(self):
+        pass
+''')
+    (bench / "run.py").write_text("import a\na._benched()\n")
+    assert functions_without_caller(src, bench, private=True) == [
+        "a._exported", "a._recursive", "a._benched", "a.Thing._unused",
+        "a._Hidden._unused"]
+
+
 def test_every_public_function_has_a_caller():
     missing = functions_without_caller(SRC, PERFBENCH)
     assert not missing, f"public functions with no caller: {missing}"
+
+
+def test_every_private_function_has_a_caller():
+    # reference code that only tests run lives in the tests
+    missing = functions_without_caller(SRC, PERFBENCH, private=True)
+    assert not missing, f"private functions with no caller in src: {missing}"

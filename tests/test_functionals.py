@@ -31,7 +31,7 @@ from affinebv.functionals import (
 )
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
 
-from conftest import indicator, random_field
+from conftest import indicator, mr_residual, random_field
 
 
 def small_domain():
@@ -141,12 +141,10 @@ class TestMrSolve:
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
     def test_residual_bound(self, r):
         spec, mask = small_domain()
-        from affinebv.functionals import _mr_residual
-
         for seed in range(20):
             u = random_field(spec, mask, seed=seed)
             m = m_r_solve(u, mask, r)
-            res = _mr_residual(u.values[mask.inside], m, r, spec.cell_volume)
+            res = mr_residual(u.values[mask.inside], m, r, spec.cell_volume)
             scale = float(np.sum(np.abs(u.values[mask.inside] - m)
                                  ** (r - 1.0)) * spec.cell_volume)
             assert abs(res) <= 1e-10 * max(scale, 1e-30)
@@ -165,15 +163,13 @@ class TestMrSolve:
 
     def test_bracket_validity(self):
         spec, mask = small_domain()
-        from affinebv.functionals import _mr_residual
-
         for seed in range(10):
             u = random_field(spec, mask, seed=seed)
             vals = u.values[mask.inside]
             for r in (1.0, 1.5, 2.0):
-                assert _mr_residual(vals, vals.min(), r,
+                assert mr_residual(vals, vals.min(), r,
                                     spec.cell_volume) >= 0.0
-                assert _mr_residual(vals, vals.max(), r,
+                assert mr_residual(vals, vals.max(), r,
                                     spec.cell_volume) <= 0.0
 
 
@@ -183,15 +179,13 @@ def _m_r_reference(u, mask, r):
 
 
 def _m_r_reference_values(vals, r, h_n, tol=1e-10, max_iter=200):
-    from affinebv.functionals import _mr_residual
-
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         return lo
     span = hi - lo
     for _ in range(max_iter):
         m = 0.5 * (lo + hi)
-        g = _mr_residual(vals, m, r, h_n)
+        g = mr_residual(vals, m, r, h_n)
         scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
         if (abs(g) <= tol * max(scale, 1e-300)
                 and hi - lo <= 1e-13 * max(span, 1e-300)):
@@ -206,14 +200,12 @@ def _m_r_reference_values(vals, r, h_n, tol=1e-10, max_iter=200):
 def _assert_solves(u, mask, r):
     """m_r_solve's m lies in [min u, max u], meets the residual contract
     and agrees with the bisection reference to 1e-12 of the value span."""
-    from affinebv.functionals import _mr_residual
-
     vals = u.values[mask.inside]
     h_n = mask.spec.cell_volume
     m = m_r_solve(u, mask, r)
     assert vals.min() <= m <= vals.max()
     scale = float(np.sum(np.abs(vals - m) ** (r - 1.0)) * h_n)
-    assert abs(_mr_residual(vals, m, r, h_n)) <= 1e-10 * max(scale, 1e-300)
+    assert abs(mr_residual(vals, m, r, h_n)) <= 1e-10 * max(scale, 1e-300)
     span = float(vals.max() - vals.min())
     assert abs(m - _m_r_reference(u, mask, r)) <= 1e-12 * span
 
@@ -284,12 +276,10 @@ def _field_from(spec, mask, x):
 def _g_bracket_holds(vals, m, r, h_n):
     """g changes sign across m +- delta, with delta 1e-12 of the span or
     64 ulp of the largest value, whichever is larger."""
-    from affinebv.functionals import _mr_residual
-
     span = float(vals.max() - vals.min())
     delta = max(1e-12 * span, 64 * np.spacing(float(np.abs(vals).max())))
-    return (_mr_residual(vals, m - delta, r, h_n) >= 0.0
-            >= _mr_residual(vals, m + delta, r, h_n))
+    return (mr_residual(vals, m - delta, r, h_n) >= 0.0
+            >= mr_residual(vals, m + delta, r, h_n))
 
 
 class TestMrExhaustion:
@@ -383,25 +373,24 @@ class TestTruncate:
     def test_exact_split(self):
         spec, mask = small_domain()
         u = random_field(spec, mask, seed=33)
-        pair = truncate(u, 0.7)
-        assert np.array_equal(pair.truncated.values + pair.remainder.values,
-                              u.values)
-        assert np.max(np.abs(pair.truncated.values)) <= 0.7
+        truncated, remainder = truncate(u, 0.7)
+        assert np.array_equal(truncated.values + remainder.values, u.values)
+        assert np.max(np.abs(truncated.values)) <= 0.7
 
     def test_large_level_identity(self):
         spec, mask = small_domain()
         u = random_field(spec, mask, seed=34)
         h = float(np.max(np.abs(u.values))) + 1.0
-        pair = truncate(u, h)
-        assert np.array_equal(pair.truncated.values, u.values)
-        assert not pair.remainder.values.any()
+        truncated, remainder = truncate(u, h)
+        assert np.array_equal(truncated.values, u.values)
+        assert not remainder.values.any()
 
     def test_constant(self):
         spec, mask = small_domain()
         u = GridFunction(spec, np.full(spec.shape, 5.0))
-        pair = truncate(u, 2.0)
-        assert np.all(pair.truncated.values == 2.0)
-        assert np.all(pair.remainder.values == 3.0)
+        truncated, remainder = truncate(u, 2.0)
+        assert np.all(truncated.values == 2.0)
+        assert np.all(remainder.values == 3.0)
 
     def test_nonpositive_level_rejected(self):
         spec, mask = small_domain()

@@ -447,9 +447,28 @@ class TestStartRecords:
         monkeypatch.setattr(SmoothedProblem, "_degenerate", lambda self, W, r: True)
         _, mask = aligned_square(48)
         res = self._run(mask)
-        assert res.degenerate and res.meta["failed"]
+        assert res.as_dict()["degenerate"] and res.meta["failed"]
         assert [s["stop"] for s in res.meta["starts"]] == ["degenerate"] * 2
         assert all(s["iterations"] == 1 for s in res.meta["starts"])
+
+    def test_no_decrease_at_delta_min_reported(self, monkeypatch):
+        # no trial step meets this Armijo constant, so every iteration
+        # rejects MAX_BACKTRACKS trials and halves delta until DELTA_MIN
+        monkeypatch.setattr(minimize_module, "SUFFICIENT_DECREASE", 1e300)
+        _, mask = aligned_square(48)
+        res = minimize_level(
+            mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),
+            config=MinimizeConfig(seed=0, max_iters=60, n_starts=2),
+            quadrature=make_quadrature(2, 64), backend=CELL_GRADIENT)
+        starts = res.meta["starts"]
+        for s, h in zip(starts, res.histories):
+            assert s["stop"] == "no_decrease_at_delta_min"
+            assert s["iterations"] == s["delta_halvings"] + 1
+            assert s["backtracks"] == minimize_module.MAX_BACKTRACKS * s["iterations"]
+            assert s["evaluations"] == 1 + s["backtracks"] + s["delta_halvings"]
+            # history: start and final nonsmooth level, no accepted step
+            assert len(h) == 2
+        assert [s["iterations"] for s in starts] == [16, 15]
 
     def test_start_levels_are_nonsmooth_levels(self):
         spec, mask = aligned_square(48)
@@ -704,7 +723,7 @@ class TestSLn:
         T, f_best, isotropy = sl_n_minimize_tv(atoms)
         assert isinstance(T, np.ndarray)
         w = atoms.transformed(T)
-        lam = np.linalg.eigvalsh(covariance(w))
+        lam = np.linalg.eigvalsh(covariance(w.atoms.T, w.masses()))
         assert lam[0] / lam[-1] >= 1 - 1e-12
         assert isotropy >= 1 - 1e-13
         assert abs(np.linalg.det(T) - 1.0) <= 1e-12

@@ -359,7 +359,7 @@ class TestCovariance:
         atoms = VariationAtoms(dim=2,
                                atoms=np.array([[1.0, 0], [2.0, 0], [-3.0, 0]]),
                                backend=FACE_ATOMS, source="interior")
-        M = covariance(atoms)
+        M = covariance(atoms.atoms.T, atoms.masses())
         evals = np.linalg.eigvalsh(M)
         assert evals[0] == pytest.approx(0.0, abs=1e-14)
         assert evals[1] == pytest.approx(6.0, rel=1e-12)
@@ -375,7 +375,7 @@ class TestCovariance:
         spec, mask = disk64
         atoms = compute_atoms(random_field(spec, mask, seed=16), mask,
                               backend=FACE_ATOMS, include_boundary=True)
-        assert np.trace(covariance(atoms)) == pytest.approx(
+        assert np.trace(covariance(atoms.atoms.T, atoms.masses())) == pytest.approx(
             total_variation(atoms), rel=1e-12)
 
     def test_single_variable_field_degenerate(self, square64):
@@ -394,7 +394,7 @@ class TestCovariance:
         r2 = (spec.cell_centers() ** 2).sum(axis=-1)
         u = GridFunction(spec, np.where(mask.inside, np.exp(-8 * r2), 0.0))
         atoms = compute_atoms(u, mask, backend=CELL_GRADIENT)
-        M = covariance(atoms)
+        M = covariance(atoms.atoms.T, atoms.masses())
         tv = total_variation(atoms)
         assert np.allclose(M, (tv / 2) * np.eye(2), rtol=0.01, atol=0.01 * tv)
 
@@ -402,7 +402,7 @@ class TestCovariance:
         spec, mask = disk64
         atoms = compute_atoms(random_field(spec, mask, seed=17), mask,
                               backend=FACE_ATOMS, include_boundary=True)
-        M = covariance(atoms)
+        M = covariance(atoms.atoms.T, atoms.masses())
         tv = total_variation(atoms)
         for theta in np.linspace(0, np.pi, 7):
             xi = unit(theta)

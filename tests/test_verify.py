@@ -141,11 +141,11 @@ class TestIndividualChecks:
         rng = np.random.default_rng(2)
         (u,) = random_bumps(mask, 1, rng)
         h = float(np.max(np.abs(u.values))) + 1.0
-        pair = truncate(u, h)
+        truncated, remainder = truncate(u, h)
         e = affine_energy_extended(u, mask, "face-atoms", quad)
-        et = affine_energy_extended(pair.truncated, mask, "face-atoms", quad)
+        et = affine_energy_extended(truncated, mask, "face-atoms", quad)
         assert et.value == pytest.approx(e.value, rel=1e-12)
-        assert not pair.remainder.values.any()
+        assert not remainder.values.any()
 
     def test_affine_invariance_pass(self):
         spec, mask = disk_domain(64)
@@ -160,6 +160,21 @@ class TestIndividualChecks:
         # compares two different energies
         assert rec.details["resample_pairs"] == len(fields)
         assert 0 < rec.details["resample_worst"] <= verify.AFFINE_RESAMPLE_TOL
+
+    def test_affine_invariance_reports_the_binding_path(self, monkeypatch):
+        # worst_margin and tolerance come from the path with the smaller
+        # slack, so a record passes exactly when worst_margin <= tolerance
+        config = VerifyConfig(suites=("affine_invariance",))
+        (rec,) = run_suite(config).records
+        assert rec.passed and rec.worst_margin <= rec.tolerance
+        assert rec.worst_margin == rec.details["atom_worst"]
+        assert rec.tolerance == verify.AFFINE_ATOM_TOL
+        monkeypatch.setattr(verify, "AFFINE_RESAMPLE_TOL", 1e-9)
+        (rec,) = run_suite(config).records
+        assert not rec.passed
+        assert rec.worst_margin == rec.details["resample_worst"] > 1e-9
+        assert rec.tolerance == rec.details["resample_tolerance"] == 1e-9
+        assert rec.details["slack"] == 1e-9 - rec.worst_margin
 
     def test_wirtinger_gap(self):
         _, mask = square_domain(64)
