@@ -77,6 +77,8 @@ class MinimizeConfig:
             raise ConfigError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import GridError
-from .grid import row_norms
+from .grid import _check_same_grid, row_norms
 
 FACE_ATOMS = "face-atoms"
 CELL_GRADIENT = "cell-gradient"
@@ -163,8 +163,7 @@ class AtomStencil:
 
 def compute_atoms(u, mask, backend, include_boundary=False):
     """Atomize the variation measure of ``u`` with ``mask.stencil(backend)``."""
-    if u.spec != mask.spec:
-        raise GridError("field and mask live on different grids")
+    _check_same_grid(u, mask)
     stencil = mask.stencil(backend)
     atoms = stencil.apply(u.values)
     if not include_boundary:

@@ -293,6 +293,14 @@ class TestMinimize:
         assert err.startswith(f"configuration error: {next(iter(weight))}")
         assert err.count("\n") == 1
 
+    def test_negative_seed_exits_2(self, capsys, square_cfg):
+        code, out, err = run_main(capsys, "minimize", "--level", "cA",
+                                  "--q", "1.0", "--domain", square_cfg,
+                                  "--grid", "32", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "configuration error: seed must be >= 0, got -1\n"
+
     def test_every_start_unprojectable_is_not_degenerate(self, capsys,
                                                          tmp_path):
         # every inside cell of this thin box is a rim cell, so the zero-trace
@@ -391,6 +399,12 @@ class TestVerify:
         assert out == ""
         assert err.startswith("configuration error: n_fields must be >= 1")
         assert err.count("\n") == 1
+
+    def test_negative_seed_exit_two(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "configuration error: seed must be >= 0, got -1\n"
 
     def test_unknown_suite_exit_two(self, capsys):
         code, _, err = run_main(capsys, "verify", "--suite", "nonsense")

@@ -20,7 +20,7 @@ from affinebv.verify import VerifyConfig
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "affinebv"
 PERFBENCH = ROOT / "perfbench"
-MAX_SETTABLE = 78
+MAX_SETTABLE = 76
 
 
 def _is_dataclass(decorator):

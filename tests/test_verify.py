@@ -56,9 +56,8 @@ class TestIndividualChecks:
         spec, mask = disk_domain(128)
         quad = make_quadrature(2, 256)
         u = GridFunction(spec, mask.inside.astype(float))
-        rec = check_sobolev_zhang([("disk", u)], mask, quad,
-                                  backend="face-atoms",
-                                  equality_cases=("disk",))
+        rec = check_sobolev_zhang([("disk", u)], mask, quad, "face-atoms",
+                                  equality=True)
         assert rec.passed
         assert rec.details["disk"] == pytest.approx(1.0, abs=0.05)
 
@@ -66,9 +65,8 @@ class TestIndividualChecks:
         spec, mask = ellipse_domain(128, np.diag([2.0, 0.5]))
         quad = make_quadrature(2, 256)
         u = GridFunction(spec, mask.inside.astype(float))
-        rec = check_sobolev_zhang([("ellipse", u)], mask, quad,
-                                  backend="face-atoms",
-                                  equality_cases=("ellipse",))
+        rec = check_sobolev_zhang([("ellipse", u)], mask, quad, "face-atoms",
+                                  equality=True)
         assert rec.passed
         assert rec.details["ellipse"] == pytest.approx(1.0, abs=0.05)
 
@@ -252,7 +250,8 @@ class TestRunSuite:
         _, mask = disk_domain(48)
         quad = make_quadrature(2, 32)
         zeros = [(f"z{i}", GridFunction.zeros(mask.spec)) for i in range(3)]
-        records = [check_sobolev_zhang(zeros, mask, quad),
+        records = [check_sobolev_zhang(zeros, mask, quad, "cell-gradient",
+                                       equality=False),
                    check_superadditivity(zeros, mask, quad),
                    check_affine_invariance(zeros, mask, quad, n_maps=2, seed=0),
                    check_huang_li(zeros, mask, quad)]
@@ -260,6 +259,7 @@ class TestRunSuite:
             assert rec.count == 0 and rec.passed, rec.name
             assert rec.details["vacuous"] is True, rec.name
             assert rec.details["slack"] == 0.0, rec.name
+            assert rec.worst_margin == rec.tolerance, rec.name
         # a check that did test something is not flagged
         rec = check_comparisons(zeros, mask, quad)
         assert rec.count == 3 and "vacuous" not in rec.details
@@ -269,6 +269,9 @@ class TestRunSuite:
         assert {r.passed for r in report.records} == {True}
         for r in report.records:
             assert (r.details["slack"] >= 0) == r.passed, r.name
+            # worst_margin and tolerance are the binding condition
+            assert r.passed == (r.worst_margin <= r.tolerance), r.name
+            assert r.details["slack"] == r.tolerance - r.worst_margin, r.name
         # records stay plain dataclasses that consumers can copy with changes
         assert dataclasses.replace(report.records[0], count=0).count == 0
 
@@ -285,8 +288,8 @@ class TestRunSuite:
         bumps = [(f"b{i}", u) for i, u in
                  enumerate(random_bumps(mask, 2, np.random.default_rng(3)))]
         records = [
-            check_sobolev_zhang(disk, mask, quad, backend="face-atoms",
-                                equality_cases=("disk",)),
+            check_sobolev_zhang(disk, mask, quad, "face-atoms",
+                                equality=True),
             check_comparisons(bumps, mask, quad),
             check_huang_li(bumps, mask, quad),
         ]
@@ -304,9 +307,13 @@ class TestRunSuite:
         schema = json.loads(
             resources.files("affinebv").joinpath("report_schema.json")
             .read_text())
-        report = run_suite(small_config(suites=("wirtinger_gap",)))
-        jsonschema.validate(json.loads(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True)), schema)
+        doc = json.loads(json.dumps(run_suite(small_config()).as_dict(),
+                                    indent=2, sort_keys=True))
+        jsonschema.validate(doc, schema)
+        # every record carries its slack
+        del doc["records"][-1]["details"]["slack"]
+        with pytest.raises(jsonschema.ValidationError, match="'slack'"):
+            jsonschema.validate(doc, schema)
 
     def test_schema_golden_shape(self, small_config):
         report = run_suite(small_config(suites=("wirtinger_gap",)))
@@ -321,20 +328,21 @@ class TestPassFromSlack:
     """A record passes exactly when its slack is >= 0."""
 
     @staticmethod
-    def _record(slack, count=1):
-        return _record(slack, name="check", statement="", corpus="",
-                       count=count, worst_margin=0.0, tolerance=0.0)
+    def _record(worst, count=1):
+        # one condition: worst <= 0.0, of slack -worst
+        return _record([(worst, 0.0)], name="check", statement="", corpus="",
+                       count=count)
 
     def test_zero_slack_passes(self):
         assert self._record(0.0).passed
 
     def test_least_negative_slack_fails(self):
-        rec = self._record(-5e-324)
+        rec = self._record(5e-324)
         assert not rec.passed
         assert rec.details["slack"] == -5e-324
 
     def test_vacuous_record_passes_with_zero_slack(self):
-        rec = self._record(-1.0, count=0)
+        rec = self._record(1.0, count=0)
         assert rec.passed
         assert rec.details == {"vacuous": True, "slack": 0.0}
 
