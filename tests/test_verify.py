@@ -58,7 +58,7 @@ class TestIndividualChecks:
         u = GridFunction(spec, mask.inside.astype(float))
         rec = check_sobolev_zhang([("disk", u)], mask, quad, "face-atoms",
                                   equality=True)
-        assert rec.passed
+        assert rec.passed and rec.name == "sobolev_zhang_equality"
         assert rec.details["disk"] == pytest.approx(1.0, abs=0.05)
 
     def test_sobolev_zhang_ellipse_equality(self):
