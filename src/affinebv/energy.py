@@ -8,6 +8,11 @@ over a quadrature of the unit sphere, where Psi_j is the directional
 variation in direction xi_j.  The energy vanishes exactly when the variation
 has no mass in some direction; the covariance rank test detects this
 independently of the quadrature.
+
+Every interior face atom is a jump along one axis, so the face-atom
+energies take the interior atoms as their summed mass P per axis: they add
+|xi_d| P_d to Psi, diag(P) to the covariance and sum P to the total
+variation (:class:`~affinebv.variation.AtomStencil`).
 """
 
 from __future__ import annotations
@@ -21,9 +26,14 @@ from scipy.special import gamma
 
 from .errors import AffineBVError, ConfigError
 from .variation import (
+    FACE_ATOMS,
     atoms_from_trace,
+    axis_psi,
     compute_atoms,
+    covariance,
     covariance_eigen_ratio,
+    eigen_ratio,
+    face_atom_sums,
     psi_samples,
     total_variation,
 )
@@ -184,25 +194,45 @@ def energy_from_psi(psi, quadrature):
                            quadrature_size=quadrature.size)
 
 
-def energy_of_atoms(atoms, quadrature):
-    """Energy of an atom set; the breakdown carries the atoms' backend,
-    source and total variation."""
-    eig = covariance_eigen_ratio(atoms)
-    half = quadrature.half
-    psi = psi_samples(atoms, half.directions)
-    out = energy_from_psi(psi, half)
+def _breakdown(psi, eig, tv, quadrature, backend, source):
+    """Energy from Psi on ``quadrature.half``, with the covariance eigen
+    ratio ``eig`` forcing the vanishing value."""
+    out = energy_from_psi(psi, quadrature.half)
     out.quadrature_size = quadrature.size
     if eig < COV_EIGEN_EPS:
         # rank test is primary: force the vanishing value
         out.value = 0.0
         out.degenerate = True
-    out.backend = atoms.backend
-    out.meta = {"source": atoms.source, "tv": total_variation(atoms)}
+    out.backend = backend
+    out.meta = {"source": source, "tv": tv}
     return out
+
+
+def energy_of_atoms(atoms, quadrature):
+    """Energy of an atom set; the breakdown carries the atoms' backend,
+    source and total variation."""
+    psi = psi_samples(atoms, quadrature.half.directions)
+    return _breakdown(psi, covariance_eigen_ratio(atoms), total_variation(atoms),
+                      quadrature, atoms.backend, atoms.source)
+
+
+def _face_energy(u, mask, quadrature, source):
+    """Energy of the face atoms of ``u``, interior or extended, from their
+    per-axis interior mass and the boundary atoms (module docstring)."""
+    P, boundary = face_atom_sums(u, mask, include_boundary=source == "extended")
+    D = quadrature.half.directions
+    psi, M, tv = axis_psi(D, P), np.diag(P), float(P.sum())
+    if boundary is not None:
+        psi += psi_samples(boundary, D)
+        M += covariance(boundary.atoms.T, boundary.masses())
+        tv += total_variation(boundary)
+    return _breakdown(psi, eigen_ratio(M), tv, quadrature, FACE_ATOMS, source)
 
 
 def affine_energy_interior(u, mask, backend, quadrature):
     """E_Omega(u): interior atoms only."""
+    if backend == FACE_ATOMS:
+        return _face_energy(u, mask, quadrature, "interior")
     return energy_of_atoms(compute_atoms(u, mask, backend=backend), quadrature)
 
 
@@ -213,5 +243,7 @@ def affine_energy_boundary(trace, mask, quadrature):
 
 def affine_energy_extended(u, mask, backend, quadrature):
     """E_Rn(u-bar): interior plus boundary atoms of the zero extension."""
+    if backend == FACE_ATOMS:
+        return _face_energy(u, mask, quadrature, "extended")
     atoms = compute_atoms(u, mask, backend=backend, include_boundary=True)
     return energy_of_atoms(atoms, quadrature)

@@ -268,7 +268,7 @@ def make_mask(spec, shape_spec):
     if np.any(bbox[:, 0] < lo + margin) or np.any(bbox[:, 1] > hi - margin):
         raise ShapeError(
             f"shape bounding box {bbox.tolist()} exceeds grid "
-            f"[{(lo + margin).tolist()}, {(hi - margin).tolist()}] "
+            f"{np.stack([lo + margin, hi - margin], axis=1).tolist()} "
             "(needs 2 cells of margin)"
         )
     inside = pred(spec.axes())

@@ -95,6 +95,12 @@ class AtomStencil:
     else the backward one, else 0.  Boundary face ``k`` adds atom
     ``n_interior + k``: ``-f[cell] * normal * area``.  Its mask keeps it
     (:meth:`~affinebv.grid.DomainMask.stencil`), so it stores ``lo`` alone.
+
+    Every interior face atom is a jump along one axis, ``v = |v_d| e_d`` up
+    to sign.  Psi, the covariance and the total variation are sums over the
+    atoms, and such an atom adds ``|xi_d| |v_d|``, ``|v_d| e_d e_d^T`` and
+    ``|v_d|`` to them: the face-atom energies need only the summed mass per
+    axis (:meth:`axis_mass`), not the atoms.
     """
 
     def __init__(self, mask, backend):
@@ -105,7 +111,7 @@ class AtomStencil:
         self.dim = spec.dim
         self.scale = spec.face_area
         self.n_inside = mask.n_inside
-        rank = self.rank
+        rank = self.rank if backend == CELL_GRADIENT else None
         self.interior = []
         n = 0
         for d in range(self.dim):
@@ -134,6 +140,19 @@ class AtomStencil:
             out[rows, d] = (f[step:][lo] - f[lo]) * self.scale   # f[lo + step]
         out[self.n_interior:] = _boundary_rows(f[self.face_cells], self.normals,
                                                self.areas)
+        return out
+
+    def axis_mass(self, f):
+        """Summed interior atom mass along each axis, ``(dim,)``, of the flat
+        cell values ``f`` on a face-atom stencil: the atoms' masses after
+        the same finiteness check and elision as :class:`VariationAtoms`."""
+        out = np.empty(self.dim)
+        for d, (_, lo, step) in enumerate(self.interior):
+            jump = np.abs(f[step:][lo] - f[lo])
+            jump *= self.scale
+            jump[jump < ATOM_ELISION] = 0.0
+            out[d] = jump.sum()
+            check_finite_atoms(jump, out[d])
         return out
 
     @property
@@ -172,6 +191,21 @@ def compute_atoms(u, mask, backend, include_boundary=False):
                           source="extended" if include_boundary else "interior")
 
 
+def face_atom_sums(u, mask, include_boundary):
+    """The face atoms of ``u`` as the energy needs them: the summed interior
+    mass per axis (:meth:`AtomStencil.axis_mass`) and the boundary atoms,
+    ``None`` unless ``include_boundary``."""
+    _check_same_grid(u, mask)
+    stencil = mask.stencil(FACE_ATOMS)
+    f = np.asarray(u.values, dtype=float).ravel()
+    boundary = None
+    if include_boundary:
+        v = _boundary_rows(f[stencil.face_cells], stencil.normals, stencil.areas)
+        boundary = VariationAtoms(dim=mask.spec.dim, atoms=v, backend=FACE_ATOMS,
+                                  source="boundary")
+    return stencil.axis_mass(f), boundary
+
+
 def atoms_from_trace(trace, mask):
     """Boundary atoms of the (K,) trace values on the faces of ``mask``
     (:func:`~affinebv.grid.extract_trace`), with its normals and areas."""
@@ -193,6 +227,13 @@ def _fold(v):
     return v, np.arctan2(v[:, 1], v[:, 0])
 
 
+def axis_psi(directions, axis_mass):
+    """Psi of atoms along the coordinate axes, ``sum_d |xi_d| * axis_mass[d]``
+    for each direction, where ``axis_mass[d]`` sums ``|v_d|`` over the atoms
+    along axis ``d``."""
+    return np.abs(directions) @ axis_mass
+
+
 def psi_samples(atoms, directions):
     """Psi_xi = sum_i |v_i . xi| for a batch of directions, shape (M,), exact
     up to rounding.
@@ -211,7 +252,7 @@ def psi_samples(atoms, directions):
     v = atoms.atoms
     cols = [v[:, d] for d in range(atoms.dim)]
     axis = sum((c != 0).astype(np.int8) for c in cols) == 1
-    out = np.abs(D) @ np.array([np.abs(c[axis]).sum() for c in cols])
+    out = axis_psi(D, np.array([np.abs(c[axis]).sum() for c in cols]))
     v = v[~axis]
     if atoms.dim == 2:
         v, phi = _fold(v)

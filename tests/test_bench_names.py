@@ -1,6 +1,7 @@
 """The benchmark tracer wraps package functions by name; every name it lists
 must still exist, or ``perfbench/run.py --trace 1`` fails with no other test
-failing."""
+failing.  One pass of the energy workload runs with its own checks, so an
+energy the benchmark would reject fails here first."""
 
 import importlib
 import importlib.util
@@ -9,14 +10,21 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 @pytest.mark.parametrize("layer,name", [
@@ -81,3 +89,15 @@ def test_traced_counts_read_real_calls(monkeypatch):
             for key, count in counters:
                 value = count(args, kwargs, out)
                 assert int(value) == value >= 0, (key, value)
+
+
+def test_energy_sweep_pass_checks():
+    """Every operation of one ``energy_sweep`` pass (seed 1, pass 0) passes
+    the benchmark's own check: each energy against its dense evaluation
+    over the full atom array, and the indicators against the oracle."""
+    workload = _load("workloads").EnergySweep(1)
+    ops = workload.pass_ops(0)
+    assert {op.cls for op in ops} == {"energy2d", "energy2d_hires", "energy3d",
+                                      "indicator2d", "indicator3d"}
+    for op in ops:
+        assert op.check(op.run()) is None, op.cls

@@ -343,6 +343,16 @@ class TestVerify:
         assert err.startswith("FAIL wirtinger_gap")
         assert json.loads(out)["passed"] is False
 
+    def test_grid_too_small_names_region_per_axis(self, capsys):
+        # 5 cells of 0.15 leave only [0.35, 0.65] on each axis for the
+        # shape, printed per axis like its bounding box
+        code, out, err = run_main(capsys, "verify", "--grid", "5")
+        assert code == 2
+        assert out == ""
+        assert err == ("configuration error: shape bounding box "
+                       "[[0.0, 1.0], [0.0, 1.0]] exceeds grid "
+                       "[[0.35, 0.65], [0.35, 0.65]] (needs 2 cells of margin)\n")
+
     def test_forced_tolerance_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "wirtinger_gap",

@@ -22,7 +22,7 @@ from affinebv import (
     total_variation,
 )
 from affinebv.energy import energy_of_atoms
-from affinebv.errors import AffineBVError
+from affinebv.errors import AffineBVError, GridError
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
 
 from conftest import indicator, random_field
@@ -243,6 +243,76 @@ class TestAffineEnergies:
             T = expm(A)
             e1 = energy_of_atoms(atoms.transformed(T), quad512).value
             assert abs(e1 - e0) / e0 < 1e-3
+
+
+FACE_MASKS = {
+    2: {"ball": {"shape": "ball", "center": [0.05, -0.03], "radius": 0.95},
+        "box": {"shape": "box", "extents": [[-0.8, 0.9], [-0.7, 0.6]]},
+        "ellipsoid": {"shape": "ellipsoid", "center": [0.0, 0.1],
+                      "matrix": [[0.9, 0.3], [-0.2, 0.6]]},
+        "polygon": {"shape": "polygon", "vertices": [
+            [-0.9, -0.8], [0.9, -0.7], [0.3, 0.95], [-0.7, 0.4]]}},
+    3: {"ball": {"shape": "ball", "center": [0.05, -0.03, 0.0], "radius": 0.9},
+        "box": {"shape": "box", "extents": [[-0.8, 0.9], [-0.7, 0.6], [-0.9, 0.9]]},
+        "ellipsoid": {"shape": "ellipsoid", "center": [0.0, 0.1, 0.0],
+                      "matrix": [[0.9, 0.3, 0.0], [-0.2, 0.6, 0.1],
+                                 [0.0, 0.2, 0.8]]}},
+}
+
+
+def _face_masks():
+    for dim, grid in ((2, 48), (3, 16)):
+        spec = GridSpec(dim=dim, shape=(grid,) * dim, spacing=2.6 / grid,
+                        origin=(-1.3,) * dim)
+        for name, desc in FACE_MASKS[dim].items():
+            yield pytest.param(spec, desc, id=f"{dim}d-{name}")
+
+
+class TestFaceAtomEnergies:
+    """The face-atom energies reduce the interior atoms per axis; they must
+    equal the energy of the full atom set."""
+
+    @pytest.mark.parametrize("spec,desc", _face_masks())
+    @pytest.mark.parametrize("extended", [False, True],
+                             ids=["interior", "extended"])
+    def test_equal_energy_of_atoms(self, spec, desc, extended):
+        mask = make_mask(spec, desc)
+        quad = make_quadrature(spec.dim, 64)
+        energy = affine_energy_extended if extended else affine_energy_interior
+        x0 = spec.cell_centers()[..., 0]
+        tiny = random_field(spec, mask, seed=2)
+        fields = [
+            random_field(spec, mask, seed=0),
+            random_field(spec, mask, seed=1),
+            # about half of the atoms fall below ATOM_ELISION and are dropped
+            tiny.with_values(tiny.values * (1e-30 / spec.face_area)),
+            # one direction only: no interior variation across axis 0
+            GridFunction(spec, np.where(mask.inside, 1.0 + x0, 0.0)),
+        ]
+        for k, u in enumerate(fields):
+            got = energy(u, mask, FACE_ATOMS, quad)
+            want = energy_of_atoms(compute_atoms(u, mask, backend=FACE_ATOMS,
+                                                 include_boundary=extended), quad)
+            assert got.degenerate == want.degenerate
+            assert got.degenerate == (k == 3 and not extended)
+            assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+            assert got.meta == pytest.approx(want.meta, rel=1e-14, abs=0.0)
+            assert got.psi == pytest.approx(want.psi, rel=1e-14, abs=0.0)
+            assert (got.backend, got.quadrature_size) == (
+                want.backend, want.quadrature_size)
+
+    @pytest.mark.parametrize("extended", [False, True],
+                             ids=["interior", "extended"])
+    def test_overflowing_jumps_rejected(self, disk64, quad128, extended):
+        spec, mask = disk64
+        signs = (-1.0) ** np.indices(spec.shape).sum(axis=0)
+        u = GridFunction(spec, np.where(mask.inside, 1e308 * signs, 0.0))
+        energy = affine_energy_extended if extended else affine_energy_interior
+        with np.errstate(over="ignore"):
+            with pytest.raises(GridError):
+                compute_atoms(u, mask, backend=FACE_ATOMS, include_boundary=extended)
+            with pytest.raises(GridError):
+                energy(u, mask, FACE_ATOMS, quad128)
 
 
 class Test3D:

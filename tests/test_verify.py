@@ -104,10 +104,11 @@ class TestIndividualChecks:
         assert len(calls) == 3 * (1 + 2 * 4)
 
     def test_comparisons_build_each_atom_set_once(self, monkeypatch):
-        # per field: extended and interior atoms of u and of its clamped
-        # copy, and one trace of u
+        # per field: extended and interior face-atom sums of u and of its
+        # clamped copy, and one trace of u; no atom array is built
         from affinebv import energy, verify
 
+        sums = count_calls(monkeypatch, energy, "face_atom_sums")
         atoms = count_calls(monkeypatch, energy, "compute_atoms")
         # calls that verify makes itself count too
         monkeypatch.setattr(verify, "compute_atoms", energy.compute_atoms)
@@ -117,7 +118,8 @@ class TestIndividualChecks:
             random_bumps(mask, 3, np.random.default_rng(0), signed=True))]
         rec = check_comparisons(fields, mask, make_quadrature(2, 32))
         assert rec.count == 3
-        assert len(atoms) == 3 * 4
+        assert len(sums) == 3 * 4
+        assert not atoms
         assert len(traces) == 3
 
     def test_wirtinger_gap_builds_each_atom_set_once(self, monkeypatch):
