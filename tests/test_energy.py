@@ -284,9 +284,9 @@ class TestFaceAtomEnergies:
         fields = [
             random_field(spec, mask, seed=0),
             random_field(spec, mask, seed=1),
-            # about half of the atoms fall below ATOM_ELISION and are dropped
+            # more than half of the atoms fall below ATOM_ELISION and are dropped
             tiny.with_values(tiny.values * (1e-30 / spec.face_area)),
-            # one direction only: no interior variation across axis 0
+            # varies along axis 0 only, so every interior atom lies on that axis
             GridFunction(spec, np.where(mask.inside, 1.0 + x0, 0.0)),
         ]
         for k, u in enumerate(fields):
