@@ -216,6 +216,26 @@ def energy_of_atoms(atoms, quadrature):
                       quadrature, atoms.backend, atoms.source)
 
 
+def energies_under_maps(atoms, maps, quadrature):
+    """Energies of the atoms of ``u o T`` for each det-1 map ``T`` in
+    ``maps``, given the atoms of ``u``.
+
+    The atoms of ``u o T`` are ``T^T v``, and ``|(T^T v) . xi| = |v . (T xi)|``,
+    so their Psi is Psi of the atoms of ``u`` at the directions ``T xi``
+    (:func:`~affinebv.variation.psi_samples` takes any directions): one
+    :func:`psi_samples` call over the mapped directions of every map.  The
+    rank test and the total variation read the mapped atoms themselves."""
+    D = quadrature.half.directions
+    psi = psi_samples(atoms, np.concatenate([D @ T.T for T in maps]))
+    out = []
+    for T, p in zip(maps, psi.reshape(len(maps), len(D))):
+        mapped = atoms.transformed(T)
+        out.append(_breakdown(p, covariance_eigen_ratio(mapped),
+                              total_variation(mapped), quadrature,
+                              atoms.backend, atoms.source))
+    return out
+
+
 def _face_energy(u, mask, quadrature, source):
     """Energy of the face atoms of ``u``, interior or extended, from their
     per-axis interior mass and the boundary atoms (module docstring)."""

@@ -341,39 +341,55 @@ def resample_affine(u, T):
     grid of ``u``.
 
     ``T`` must have unit determinant.  The grid must cover
-    ``T^{-1}(support of u)``.
+    ``T^{-1}(support of u)``.  Only cells in the index box of
+    ``T^{-1}`` of the support's box, widened by one cell, are interpolated:
+    every other cell has ``Tx`` more than one cell from the support, where
+    the interpolation reads zeros only, and stays 0.0.
     """
     T = np.asarray(T, dtype=float)
-    n = u.spec.dim
+    spec = u.spec
+    n = spec.dim
     if T.shape != (n, n):
         raise GridError(f"map must be {n}x{n}")
     if abs(np.linalg.det(T) - 1.0) > 1e-10:
         raise GridError(f"map determinant {np.linalg.det(T)} != 1")
 
+    out = np.zeros(spec.shape)
     nz = np.argwhere(u.values != 0.0)
-    if len(nz):
-        h = u.spec.spacing
-        lo = np.asarray(u.spec.origin) + nz.min(axis=0) * h
-        hi = np.asarray(u.spec.origin) + (nz.max(axis=0) + 1) * h
-        corners = np.array(
-            [[lo[d] if (k >> d) & 1 == 0 else hi[d] for d in range(n)]
-             for k in range(2 ** n)]
-        )
-        pre = corners @ np.linalg.inv(T).T
-        need_lo, need_hi = pre.min(axis=0), pre.max(axis=0)
-        glo, ghi = u.spec.bounds()
-        if np.any(need_lo < glo) or np.any(need_hi > ghi):
-            raise GridError(
-                "support escapes target grid; required bounding box "
-                f"[{need_lo.tolist()}, {need_hi.tolist()}]"
-            )
-
-    pts = u.spec.cell_centers().reshape(-1, n) @ T.T
-    frac = (pts - np.asarray(u.spec.origin)) / u.spec.spacing - 0.5
-    out = ndimage.map_coordinates(
-        u.values, frac.T, order=1, mode="constant", cval=0.0
+    if not len(nz):
+        return u.with_values(out)
+    h, origin = spec.spacing, np.asarray(spec.origin)
+    lo = origin + nz.min(axis=0) * h
+    hi = origin + (nz.max(axis=0) + 1) * h
+    corners = np.array(
+        [[lo[d] if (k >> d) & 1 == 0 else hi[d] for d in range(n)]
+         for k in range(2 ** n)]
     )
-    return u.with_values(out.reshape(u.spec.shape))
+    T_inv = np.linalg.inv(T)
+    pre = corners @ T_inv.T
+    need_lo, need_hi = pre.min(axis=0), pre.max(axis=0)
+    glo, ghi = spec.bounds()
+    if np.any(need_lo < glo) or np.any(need_hi > ghi):
+        raise GridError(
+            "support escapes target grid; required bounding box "
+            f"[{need_lo.tolist()}, {need_hi.tolist()}]"
+        )
+
+    # widening the support's box by one cell per side widens its T^{-1}
+    # image by at most this much per axis
+    reach = np.abs(T_inv).sum(axis=1) * h
+    first = np.floor((need_lo - reach - origin) / h).astype(int)
+    last = np.ceil((need_hi + reach - origin) / h).astype(int)
+    box = tuple(slice(max(a, 0), min(b + 1, s))
+                for a, b, s in zip(first, last, spec.shape))
+    centers = np.stack(np.meshgrid(*(spec.axis_centers(d)[box[d]]
+                                     for d in range(n)), indexing="ij"), axis=-1)
+    pts = centers.reshape(-1, n) @ T.T
+    frac = (pts - origin) / h - 0.5
+    out[box] = ndimage.map_coordinates(
+        u.values, frac.T, order=1, mode="constant", cval=0.0
+    ).reshape(centers.shape[:-1])
+    return u.with_values(out)
 
 
 def check_finite(v):

@@ -29,8 +29,8 @@ CELL_GRADIENT = "cell-gradient"
 
 # below this mass an atom has no well-defined direction and is dropped
 ATOM_ELISION = 1e-30
-# atoms per dense 3D Psi block, bounding the working set
-PSI_CHUNK = 16384
+# atom-direction products per dense 3D Psi block, bounding the working set
+PSI_BLOCK = 1 << 22
 
 
 @dataclass
@@ -236,7 +236,9 @@ def axis_psi(directions, axis_mass):
 
 def psi_samples(atoms, directions):
     """Psi_xi = sum_i |v_i . xi| for a batch of directions, shape (M,), exact
-    up to rounding.
+    up to rounding.  The directions need not be unit vectors: Psi is
+    1-homogeneous, Psi_(t xi) = |t| Psi_xi, and every step below is exact
+    for any xi.
 
     * Atoms with one nonzero component (interior face atoms, axis-normal
       boundary atoms, 2D cell gradients with a zero difference) add
@@ -246,7 +248,7 @@ def psi_samples(atoms, directions):
       which ``v . xi`` keeps its sign, so with prefix sums P the run sums are
       ``|P_k . xi|`` and ``|(P_N - P_k) . xi|``: O((N + M) log N) in all.
     * Only the other 3D atoms go through the dense product, chunked over
-      atoms to bound the working set.
+      atoms so that a block holds at most ``PSI_BLOCK`` products.
     """
     D = np.asarray(directions, dtype=float).reshape(-1, atoms.dim)
     v = atoms.atoms
@@ -266,8 +268,9 @@ def psi_samples(atoms, directions):
         out += np.abs(left[:, 0] * D[:, 0] + left[:, 1] * D[:, 1])
         out += np.abs(right[:, 0] * D[:, 0] + right[:, 1] * D[:, 1])
         return out
-    for i in range(0, len(v), PSI_CHUNK):
-        prod = v[i:i + PSI_CHUNK] @ D.T
+    step = max(1, PSI_BLOCK // max(1, len(D)))
+    for i in range(0, len(v), step):
+        prod = v[i:i + step] @ D.T
         np.abs(prod, out=prod)
         out += prod.sum(axis=0)
     return out

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from affinebv import (
     GridFunction,
@@ -330,6 +331,50 @@ class TestResampleAffine:
         occupied = v.values > 0.5
         assert np.max(np.abs(c[occupied][:, 0])) == pytest.approx(0.5, abs=0.1)
         assert np.max(np.abs(c[occupied][:, 1])) == pytest.approx(2.0, abs=0.1)
+
+    @staticmethod
+    def _full_grid(u, T):
+        """Reference: interpolate at the image of every cell centre."""
+        pts = u.spec.cell_centers().reshape(-1, u.spec.dim) @ T.T
+        frac = (pts - np.asarray(u.spec.origin)) / u.spec.spacing - 0.5
+        return ndimage.map_coordinates(u.values, frac.T, order=1,
+                                       mode="constant", cval=0.0
+                                       ).reshape(u.spec.shape)
+
+    def test_boxed_matches_full_grid(self):
+        # the cells left out read zeros only, so the result is bit-identical
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(9)
+        spec = GridSpec(dim=2, shape=(96, 96), spacing=3.0 / 96,
+                        origin=(-1.5, -1.5))
+        mask = make_mask(spec, {"shape": "ball", "center": [0.1, -0.05],
+                                "radius": 0.7})
+        cases = []
+        for seed in range(4):
+            u = random_field(spec, mask, seed=seed, smooth=2)
+            for _ in range(10):
+                A = rng.normal(size=(2, 2))
+                A -= np.trace(A) / 2 * np.eye(2)
+                cases.append((u, expm(0.5 * A / max(1.0, np.linalg.norm(A)))))
+        # a support reaching the grid's edge, where the box is clipped
+        x = spec.cell_centers()[..., 0]
+        cases += [(GridFunction(spec, np.cos(x)), np.eye(2)),
+                  (GridFunction(spec, np.where(np.abs(x) < 0.7, 1.0 + x, 0.0)),
+                   np.diag([0.5, 2.0])),
+                  (GridFunction.zeros(spec), expm([[0.2, 0.3], [0.1, -0.2]]))]
+        spec3 = GridSpec(dim=3, shape=(16,) * 3, spacing=2.0 / 16,
+                         origin=(-1.0,) * 3)
+        mask3 = make_mask(spec3, {"shape": "ball", "center": [0.0] * 3,
+                                  "radius": 0.5})
+        A = rng.normal(size=(3, 3))
+        cases.append((random_field(spec3, mask3, seed=5, smooth=1),
+                      expm(0.3 * (A - np.trace(A) / 3 * np.eye(3)))))
+        for u, T in cases:
+            v = resample_affine(u, T).values
+            ref = self._full_grid(u, T)
+            assert np.array_equal(v, ref)
+            assert np.array_equal(np.signbit(v), np.signbit(ref))
 
     def test_support_escape_reports_required_box(self, disk64):
         spec, mask = disk64

@@ -15,6 +15,7 @@ from affinebv import (
     total_variation,
     zero_extend,
 )
+from affinebv import variation
 from affinebv.errors import GridError
 from affinebv.variation import (
     ATOM_ELISION,
@@ -306,7 +307,9 @@ class TestPsiSamples:
         (CELL_GRADIENT, {"shape": "box",
                          "extents": [[-0.9, 0.8], [-0.85, 0.9], [-0.7, 0.9]]}),
     ], ids=["face-atoms-ball", "cell-gradient-box"])
-    def test_3d_mixed_sets(self, backend, shape):
+    def test_3d_mixed_sets(self, backend, shape, monkeypatch):
+        # blocks of 1,000 atoms: the dense product runs in several blocks
+        monkeypatch.setattr(variation, "PSI_BLOCK", 160 * 1000)
         spec = GridSpec(dim=3, shape=(24, 24, 24), spacing=2.6 / 24,
                         origin=(-1.3,) * 3)
         mask = make_mask(spec, shape)
@@ -433,6 +436,32 @@ class TestAtomTransform:
         tv_resampled = total_variation(
             compute_atoms(v, mask, backend=CELL_GRADIENT))
         assert tv_atoms == pytest.approx(tv_resampled, rel=0.02)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_psi_at_mapped_directions(self, dim):
+        # |(T^T v) . xi| = |v . (T xi)|: Psi of the mapped atoms is Psi of
+        # the atoms at the mapped, non-unit directions, for any invertible T
+        spec = GridSpec(dim=dim, shape=(48,) * 2 if dim == 2 else (16,) * 3,
+                        spacing=2.6 / (48 if dim == 2 else 16),
+                        origin=(-1.3,) * dim)
+        mask = make_mask(spec, {"shape": "ball", "center": [0.05] * dim,
+                                "radius": 0.9})
+        u = random_field(spec, mask, seed=27, smooth=1)
+        # coarse levels leave zero differences: axis and oblique atoms mix
+        u = u.with_values(np.round(4 * u.values) / 4)
+        atoms = compute_atoms(u, mask, backend=CELL_GRADIENT,
+                              include_boundary=True)
+        n_axis = np.sum(np.count_nonzero(atoms.atoms, axis=1) == 1)
+        assert 0 < n_axis < len(atoms)
+        rng = np.random.default_rng(27)
+        D = make_quadrature(dim, 128).half.directions
+        maps = [rng.normal(size=(dim, dim)) + 2 * np.eye(dim)
+                for _ in range(4)] + [np.diag([30.0] + [0.2] * (dim - 1))]
+        for T in maps:
+            assert abs(np.linalg.det(T) - 1.0) > 0.1
+            mapped = psi_samples(atoms, D @ T.T)
+            ref = psi_samples(atoms.transformed(T), D)
+            assert np.all(np.abs(mapped - ref) <= 1e-13 * ref)
 
 
 # -- reference stencil: explicit loops over cells and faces --------------------

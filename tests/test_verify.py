@@ -176,6 +176,50 @@ class TestIndividualChecks:
         assert rec.tolerance == rec.details["resample_tolerance"] == 1e-9
         assert rec.details["slack"] == 1e-9 - rec.worst_margin
 
+    def test_affine_invariance_psi_calls_do_not_grow_with_maps(self, monkeypatch):
+        # per field: Psi of u, one call for all its mapped atom sets, and
+        # the two energies of the resample path
+        from affinebv import energy
+
+        _, mask = disk_domain(48)
+        quad = make_quadrature(2, 32)
+        fields = [(f"f{i}", u) for i, u in enumerate(
+            random_bumps(mask, 2, np.random.default_rng(5)))]
+        calls = count_calls(monkeypatch, energy, "psi_samples")
+        per_run = []
+        for n_maps in (5, 20):
+            calls.clear()
+            rec = check_affine_invariance(fields, mask, quad, n_maps, seed=0)
+            assert rec.count == len(fields) * n_maps
+            per_run.append(len(calls))
+        assert per_run == [4 * len(fields)] * 2
+
+    def test_affine_invariance_rank_tests_every_mapped_set(self, monkeypatch):
+        # a mapped set whose covariance is rank deficient has energy 0
+        # whatever its Psi, so each of its pairs deviates by the whole energy
+        from affinebv import energy
+
+        mapped = []
+        transformed = variation.VariationAtoms.transformed
+
+        def kept(self, T):
+            mapped.append(transformed(self, T))
+            return mapped[-1]
+
+        ratio = energy.covariance_eigen_ratio
+        monkeypatch.setattr(variation.VariationAtoms, "transformed", kept)
+        monkeypatch.setattr(energy, "covariance_eigen_ratio", lambda atoms: (
+            0.5 * energy.COV_EIGEN_EPS if any(atoms is m for m in mapped)
+            else ratio(atoms)))
+        _, mask = disk_domain(48)
+        fields = [(f"f{i}", u) for i, u in enumerate(
+            random_bumps(mask, 2, np.random.default_rng(5)))]
+        rec = check_affine_invariance(fields, mask, make_quadrature(2, 32),
+                                      n_maps=5, seed=0)
+        assert rec.count == len(mapped) == 10
+        assert not rec.passed
+        assert rec.details["atom_worst"] == rec.worst_margin == 1.0
+
     def test_wirtinger_gap(self):
         _, mask = square_domain(64)
         rec = check_wirtinger_gap(mask, make_quadrature(2, 64))
