@@ -19,6 +19,16 @@ product, formed in buffers the problem owns.  The gradient reuses the
 parts the accepted trial's value left.  Each start reports why it stopped
 and how many points it evaluated.
 
+The starts share nothing after :func:`initial_guesses`, so they run in k
+processes: k is the number of starts capped by the CPUs this process may
+run on (``os.sched_getaffinity``), and 1 where the "fork" start method or
+the affinity is unavailable or this process is daemonic.  Start i runs in
+share i % k; share 0 runs here, every other share in a worker forked with
+the problem in its memory, which pipes back its starts' outcomes.  The
+outcomes are put back in start order, so the levels, histories and records are those of a
+one-process solve, bit for bit.  Spans or counters that a tracer records
+inside a worker do not reach this process; the start records do.
+
 The solver tuning has one value in use, so it is module constants, read
 at call time, not config fields: the first trial step ``STEP_INIT``, its
 factor ``STEP_SHRINK`` over at most ``MAX_BACKTRACKS`` trials, the Armijo
@@ -36,6 +46,8 @@ transformed atoms, stopped at isotropy.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -441,7 +453,8 @@ def _stalled(history, window, rel):
 
 def _descend(prob, cspec, x0, max_iters):
     """One projected-descent start on inside-cell vectors.  Returns
-    (projection, history, record): the stop reason, iterations, rejected
+    (projection, history, record): the projection's ``u`` is an inside-cell
+    vector, and the record holds the stop reason, iterations, rejected
     trial steps, delta halvings, accepted or final projections that did not
     converge, and objective evaluations."""
     rec = _start_record()
@@ -470,7 +483,9 @@ def _descend(prob, cspec, x0, max_iters):
         if degen:
             rec["stop"] = "degenerate"
             break
-        gn2 = float(g @ g)
+        # a numpy reduction, not a BLAS dot: its bits do not depend on the
+        # BLAS thread count, and it leaves no BLAS thread spinning
+        gn2 = float(np.sum(g * g))
         if gn2 == 0.0:
             rec["stop"] = "zero_gradient"
             break
@@ -514,8 +529,68 @@ def _descend(prob, cspec, x0, max_iters):
     rec["evaluations"] = prob.evaluations - evaluations
     pres = project(x)
     rec["unconverged_projections"] += not pres.converged
-    pres.u = prob.to_field(pres.u)
     return pres, history, rec
+
+
+def _run_starts(prob, cspec, x0s, max_iters):
+    """The outcome of a descent from each of ``x0s``: its (projection,
+    history, record), or the exception it raised."""
+    outcomes = []
+    for x0 in x0s:
+        try:
+            outcomes.append(_descend(prob, cspec, x0, max_iters))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _send_starts(conn, prob, cspec, x0s, max_iters):
+    """A forked worker's body: its starts' outcomes, sent down ``conn``."""
+    conn.send(_run_starts(prob, cspec, x0s, max_iters))
+    conn.close()
+
+
+def _map_starts(prob, cspec, x0s, max_iters):
+    """:func:`_run_starts` over ``x0s`` in k processes, the outcomes in start
+    order.  Start i runs in share i % k: share 0 in this process, every other
+    share in a forked worker that inherits ``prob`` and pipes its outcomes
+    back.  k is the number of starts capped by the CPUs this process may run
+    on, and 1 where fork is unavailable, the CPU affinity is unknown (no
+    ``os.sched_getaffinity``, as on macOS) or this process may not have
+    children (a daemonic process)."""
+    k = 1
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity")
+            and not multiprocessing.current_process().daemon):
+        k = min(len(x0s), len(os.sched_getaffinity(0)))
+    workers = []
+    try:
+        for share in range(1, k):
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_starts, daemon=True,
+                               args=(send, prob, cspec, x0s[share::k], max_iters))
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        outcomes = [None] * len(x0s)
+        outcomes[::k] = _run_starts(prob, cspec, x0s[::k], max_iters)
+        for share, (proc, recv) in enumerate(workers, 1):
+            try:
+                outcomes[share::k] = recv.recv()
+            except EOFError:
+                raise ChildProcessError(
+                    f"start worker {proc.pid} exited without its outcomes") from None
+        return outcomes
+    except BaseException:
+        # a worker may still be running or blocked on its pipe
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
 
 
 def minimize_level(mask, weights, cspec, config, quadrature, backend,
@@ -533,24 +608,26 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
     for extra in extra_starts:
         guesses.append(extra)
 
+    x0s = [prob.to_vector(u0) for u0 in guesses]
     best = None
     histories = []
     starts = []
     levels = []
-    for u0 in guesses:
-        try:
-            pres, history, rec = _descend(prob, cspec, prob.to_vector(u0),
-                                          config.max_iters)
-        except AffineBVError:
+    for outcome in _map_starts(prob, cspec, x0s, config.max_iters):
+        if isinstance(outcome, AffineBVError):
             histories.append([])
             starts.append(_start_record("projection_failed"))
             levels.append(None)
             continue
+        if isinstance(outcome, Exception):
+            raise outcome
+        pres, history, rec = outcome
         starts.append(rec)
         if rec["stop"] == "degenerate":
             histories.append(history)
             levels.append(None)
             continue
+        pres.u = prob.to_field(pres.u)
         level = phi_affine(pres.u, mask, weights, quadrature, backend=backend)
         histories.append(history + [level])
         levels.append(level)

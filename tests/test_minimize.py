@@ -1,8 +1,12 @@
 """Smoothed projected descent, gradient correctness, SL(n) search."""
 
+import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -376,7 +380,7 @@ class TestEvaluationReuse:
         _same(prob.value_and_gradient(x, self.DELTA),
               make().value_and_gradient(x, self.DELTA))
 
-    def test_one_dense_product_per_value(self, monkeypatch):
+    def test_one_dense_product_per_value(self, monkeypatch, one_cpu):
         calls = {"_energy_parts": 0, "value": 0, "value_and_gradient": 0}
         for name in calls:
             orig = getattr(SmoothedProblem, name)
@@ -553,6 +557,169 @@ class TestBenchmarkProblems:
         assert records == [{"stop": "max_iters", "iterations": 60,
                             "backtracks": b, "delta_halvings": 0}
                            for b in backtracks]
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One CPU to run on, so every start runs in this process and call
+    counters in it see them all."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+class _Abort(BaseException):
+    """Not an Exception: no start outcome catches it."""
+
+
+class TestStartMap:
+    """Starts run in forked workers, share i % k of k processes, with the
+    outcomes of a one-process solve."""
+
+    def _run(self, mask, cspec=ConstraintSpec(q=1.0), starts=2, extra=()):
+        return minimize_level(
+            mask, Weights(0.0, 0.0), cspec,
+            config=MinimizeConfig(seed=0, max_iters=60, n_starts=starts),
+            quadrature=make_quadrature(2, 128), backend=CELL_GRADIENT,
+            extra_starts=extra)
+
+    @staticmethod
+    def _descend_with(monkeypatch, before):
+        """Route every start through ``before(pid)`` first; returns the list
+        of pids that ran starts in this process."""
+        pids = []
+        orig = minimize_module._descend
+
+        def descend(*args):
+            before(os.getpid())
+            pids.append(os.getpid())
+            return orig(*args)
+
+        monkeypatch.setattr(minimize_module, "_descend", descend)
+        return pids
+
+    @pytest.mark.parametrize("domain,cspec", [
+        ("square", ConstraintSpec(q=1.0, kind="X")),
+        ("disk", ConstraintSpec(q=1.5, kind="Y", r=2.0)),
+    ])
+    def test_forked_equals_one_process(self, monkeypatch, tmp_path, domain, cspec):
+        mask = aligned_square(48)[1] if domain == "square" else _ball_domain(2, 48)[1]
+        log = tmp_path / "pids"
+        log.touch()
+
+        def record(pid):
+            with log.open("a") as f:
+                f.write(f"{pid}\n")
+
+        self._descend_with(monkeypatch, record)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forked = self._run(mask, cspec, starts=4)
+        assert not multiprocessing.active_children()
+        forked_pids = log.read_text().split()
+        log.write_text("")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        single = self._run(mask, cspec, starts=4)
+        # shares 0 and 1 hold two starts and one start, share 2 one start
+        assert len(forked_pids) == 4 and len(set(forked_pids)) == 3
+        assert log.read_text().split() == [str(os.getpid())] * 4
+        assert forked.level == single.level
+        assert np.array_equal(forked.extremal.values, single.extremal.values)
+        assert forked.histories == single.histories
+        assert forked.start_levels == single.start_levels
+        assert forked.meta["starts"] == single.meta["starts"]
+
+    def test_projection_failure_in_worker_keeps_its_index(self, monkeypatch):
+        spec, mask = aligned_square(48)
+        # the zero start, index 2, is share 2 of 3: a worker's only start
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        res = self._run(mask, extra=(GridFunction.zeros(spec),))
+        assert [s["stop"] for s in res.meta["starts"]] == [
+            "max_iters", "max_iters", "projection_failed"]
+        assert res.histories[2] == [] and res.start_levels[2] is None
+        assert all(len(h) > 1 for h in res.histories[:2])
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_error_keeps_its_type(self, monkeypatch, where):
+        parent = os.getpid()
+
+        def fail(pid):
+            if (pid == parent) == (where == "parent"):
+                raise FloatingPointError(f"raised in the {where}")
+
+        self._descend_with(monkeypatch, fail)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(FloatingPointError, match=f"raised in the {where}"):
+            self._run(aligned_square(48)[1])
+        assert not multiprocessing.active_children()
+
+    def test_interrupted_parent_stops_its_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def abort(pid):
+            if pid == parent:
+                raise _Abort
+            time.sleep(60)
+
+        self._descend_with(monkeypatch, abort)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        t0 = time.perf_counter()
+        with pytest.raises(_Abort):
+            self._run(aligned_square(48)[1], starts=3)
+        # the worker was stopped, not waited for
+        assert time.perf_counter() - t0 < 30
+        assert not multiprocessing.active_children()
+
+    def test_worker_lost_is_reported(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(pid):
+            if pid != parent:
+                os._exit(3)
+
+        self._descend_with(monkeypatch, die)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError, match="without its outcomes"):
+            self._run(aligned_square(48)[1])
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("why", ["no fork", "no affinity", "daemonic"])
+    def test_one_process_without_fork(self, monkeypatch, why):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if why == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        elif why == "no affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        pids = self._descend_with(monkeypatch, lambda pid: None)
+        self._run(aligned_square(48)[1])
+        assert pids == [os.getpid()] * 2
+
+    def test_blas_threads_leave_solve_unchanged(self):
+        """A solve on 11,236 cells, above OpenBLAS's threading size for a
+        dot product, gives the same bits with one BLAS thread and two."""
+        script = (
+            "import json\n"
+            "from affinebv import ConstraintSpec, GridSpec, Weights, make_mask,"
+            " make_quadrature, minimize_level\n"
+            "from affinebv.minimize import MinimizeConfig\n"
+            "spec = GridSpec(dim=2, shape=(212, 212), spacing=2.0 / 212,"
+            " origin=(-0.5, -0.5))\n"
+            "mask = make_mask(spec, {'shape': 'box', 'extents': [[0.0, 1.0], [0.0, 1.0]]})\n"
+            "res = minimize_level(mask, Weights(0.0, 0.0), ConstraintSpec(q=1.0),"
+            " config=MinimizeConfig(seed=0, max_iters=30, n_starts=2),"
+            " quadrature=make_quadrature(2, 64), backend='cell-gradient')\n"
+            "print(json.dumps([[[v.hex() for v in h] for h in res.histories],"
+            " res.meta['starts']]))\n")
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env={**src_env(), "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            out.append(json.loads(proc.stdout))
+        assert out[0] == out[1]
+        assert all(s["stop"] == "max_iters" for s in out[0][1])
 
 
 def _windowed_psi_reference(V, directions, eps):
