@@ -19,15 +19,18 @@ product, formed in buffers the problem owns.  The gradient reuses the
 parts the accepted trial's value left.  Each start reports why it stopped
 and how many points it evaluated.
 
-The starts share nothing after :func:`initial_guesses`, so they run in k
-processes: k is the number of starts capped by the CPUs this process may
-run on (``os.sched_getaffinity``), and 1 where the "fork" start method or
-the affinity is unavailable or this process is daemonic.  Start i runs in
+The starts share nothing after :func:`initial_guesses`, so a 2D solve
+runs them in k processes: k is the number of starts capped by the CPUs
+this process may run on (``os.sched_getaffinity``), and 1 where the
+"fork" start method or the affinity is unavailable, this process is
+daemonic or runs other Python threads, or the problem is 3D, whose dense
+products threaded BLAS already spreads over the CPUs.  Start i runs in
 share i % k; share 0 runs here, every other share in a worker forked with
 the problem in its memory, which pipes back its starts' outcomes.  The
-outcomes are put back in start order, so the levels, histories and records are those of a
-one-process solve, bit for bit.  Spans or counters that a tracer records
-inside a worker do not reach this process; the start records do.
+outcomes are put back in start order, so the levels, histories and
+records are those of a one-process solve, bit for bit.  Spans or counters
+that a tracer records inside a worker do not reach this process; the
+start records do.
 
 The solver tuning has one value in use, so it is module constants, read
 at call time, not config fields: the first trial step ``STEP_INIT``, its
@@ -48,6 +51,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
+import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -545,8 +551,23 @@ def _run_starts(prob, cspec, x0s, max_iters):
 
 
 def _send_starts(conn, prob, cspec, x0s, max_iters):
-    """A forked worker's body: its starts' outcomes, sent down ``conn``."""
-    conn.send(_run_starts(prob, cspec, x0s, max_iters))
+    """A forked worker's body: its starts' outcomes, and the formatted
+    traceback of each exception among them by index, sent down ``conn``.
+    An exception that does not survive pickling goes as a
+    ``ChildProcessError`` naming it."""
+    outcomes = _run_starts(prob, cspec, x0s, max_iters)
+    tracebacks = {}
+    for i, exc in enumerate(outcomes):
+        if isinstance(exc, Exception):
+            tracebacks[i] = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                outcomes[i] = ChildProcessError(
+                    f"a start raised {type(exc).__qualname__}, which does not "
+                    f"pickle: {exc}")
+    conn.send((outcomes, tracebacks))
     conn.close()
 
 
@@ -554,14 +575,20 @@ def _map_starts(prob, cspec, x0s, max_iters):
     """:func:`_run_starts` over ``x0s`` in k processes, the outcomes in start
     order.  Start i runs in share i % k: share 0 in this process, every other
     share in a forked worker that inherits ``prob`` and pipes its outcomes
-    back.  k is the number of starts capped by the CPUs this process may run
-    on, and 1 where fork is unavailable, the CPU affinity is unknown (no
-    ``os.sched_getaffinity``, as on macOS) or this process may not have
-    children (a daemonic process)."""
+    back; a worker's exception is raised here chained to its traceback.  k
+    is the number of starts capped by the CPUs this process may run on, and
+    1 where fork is unavailable, the CPU affinity is unknown (no
+    ``os.sched_getaffinity``, as on macOS), this process may not have
+    children (a daemonic process), another Python thread runs (a lock it
+    holds at the fork stays held in the worker), or the problem is 3D: its
+    dense products run on threaded BLAS, and k processes each running the
+    BLAS pool on the same CPUs are slower than one."""
     k = 1
-    if ("fork" in multiprocessing.get_all_start_methods()
+    if (prob.dim == 2
+            and "fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity")
-            and not multiprocessing.current_process().daemon):
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1):
         k = min(len(x0s), len(os.sched_getaffinity(0)))
     workers = []
     try:
@@ -577,10 +604,14 @@ def _map_starts(prob, cspec, x0s, max_iters):
         outcomes[::k] = _run_starts(prob, cspec, x0s[::k], max_iters)
         for share, (proc, recv) in enumerate(workers, 1):
             try:
-                outcomes[share::k] = recv.recv()
+                got, tracebacks = recv.recv()
             except EOFError:
                 raise ChildProcessError(
                     f"start worker {proc.pid} exited without its outcomes") from None
+            for i, text in tracebacks.items():
+                got[i].__cause__ = ChildProcessError(
+                    f"in start worker {proc.pid}:\n{text}")
+            outcomes[share::k] = got
         return outcomes
     except BaseException:
         # a worker may still be running or blocked on its pipe

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -570,6 +571,13 @@ class _Abort(BaseException):
     """Not an Exception: no start outcome catches it."""
 
 
+class _NoPickle(Exception):
+    """Pickles, but unpickling calls ``__init__`` with one argument."""
+
+    def __init__(self, where, why):
+        super().__init__(f"raised in the {where}: {why}")
+
+
 class TestStartMap:
     """Starts run in forked workers, share i % k of k processes, with the
     outcomes of a one-process solve."""
@@ -578,7 +586,7 @@ class TestStartMap:
         return minimize_level(
             mask, Weights(0.0, 0.0), cspec,
             config=MinimizeConfig(seed=0, max_iters=60, n_starts=starts),
-            quadrature=make_quadrature(2, 128), backend=CELL_GRADIENT,
+            quadrature=make_quadrature(mask.spec.dim, 128), backend=CELL_GRADIENT,
             extra_starts=extra)
 
     @staticmethod
@@ -647,8 +655,28 @@ class TestStartMap:
 
         self._descend_with(monkeypatch, fail)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(FloatingPointError, match=f"raised in the {where}"):
+        with pytest.raises(FloatingPointError, match=f"raised in the {where}") as info:
             self._run(aligned_square(48)[1])
+        assert not multiprocessing.active_children()
+        if where == "worker":
+            # the worker's traceback comes along as the cause
+            cause = str(info.value.__cause__)
+            assert "in start worker" in cause and "in fail" in cause
+            assert "FloatingPointError: raised in the worker" in cause
+
+    def test_unpicklable_error_in_worker_is_named(self, monkeypatch):
+        parent = os.getpid()
+
+        def fail(pid):
+            if pid != parent:
+                raise _NoPickle("worker", "no copy")
+
+        self._descend_with(monkeypatch, fail)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError, match="_NoPickle, which does not "
+                           "pickle: raised in the worker: no copy") as info:
+            self._run(aligned_square(48)[1])
+        assert "_NoPickle: raised in the worker: no copy" in str(info.value.__cause__)
         assert not multiprocessing.active_children()
 
     def test_interrupted_parent_stops_its_workers(self, monkeypatch):
@@ -681,18 +709,31 @@ class TestStartMap:
             self._run(aligned_square(48)[1])
         assert not multiprocessing.active_children()
 
-    @pytest.mark.parametrize("why", ["no fork", "no affinity", "daemonic"])
+    @pytest.mark.parametrize("why", ["no fork", "no affinity", "daemonic",
+                                     "thread", "3D"])
     def test_one_process_without_fork(self, monkeypatch, why):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        mask = aligned_square(48)[1]
         if why == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                                 lambda: ["spawn"])
         elif why == "no affinity":
             monkeypatch.delattr(os, "sched_getaffinity")
-        else:
+        elif why == "daemonic":
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        elif why == "3D":
+            mask = _ball_domain(3, 20)[1]
         pids = self._descend_with(monkeypatch, lambda pid: None)
-        self._run(aligned_square(48)[1])
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        if why == "thread":
+            other.start()
+        try:
+            self._run(mask)
+        finally:
+            done.set()
+            if why == "thread":
+                other.join()
         assert pids == [os.getpid()] * 2
 
     def test_blas_threads_leave_solve_unchanged(self):
