@@ -733,7 +733,8 @@ class TestStartMap:
         finally:
             done.set()
             if why == "thread":
-                other.join()
+                other.join(timeout=10)
+                assert not other.is_alive()
         assert pids == [os.getpid()] * 2
 
     def test_blas_threads_leave_solve_unchanged(self):
