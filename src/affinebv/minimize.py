@@ -20,10 +20,11 @@ parts the accepted trial's value left.  Each start reports why it stopped
 and how many points it evaluated.
 
 The starts share nothing after :func:`initial_guesses`, so a 2D solve
-runs them in k processes: k is the number of starts capped by the CPUs
-this process may run on (``os.sched_getaffinity``), and 1 where the
-"fork" start method or the affinity is unavailable, this process is
-daemonic or runs other Python threads, or the problem is 3D, whose dense
+maps them over k processes with :func:`~affinebv.forkmap.fork_map`: k is
+the number of starts capped by the CPUs this process may run on
+(``os.sched_getaffinity``), and 1 where the "fork" start method or the
+affinity is unavailable, or this process is daemonic or runs other Python
+threads.  A 3D solve runs its starts here, one after another: its dense
 products threaded BLAS already spreads over the CPUs.  Start i runs in
 share i % k; share 0 runs here, every other share in a worker forked with
 the problem in its memory, which pipes back its starts' outcomes.  The
@@ -49,11 +50,6 @@ transformed atoms, stopped at isotropy.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import pickle
-import threading
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +57,7 @@ from scipy import sparse
 
 from .energy import COV_EIGEN_EPS, constants
 from .errors import AffineBVError, ConfigError
+from .forkmap import fork_map, run_tasks
 from .functionals import phi_affine, project_vector, rim_positions
 from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
@@ -538,92 +535,6 @@ def _descend(prob, cspec, x0, max_iters):
     return pres, history, rec
 
 
-def _run_starts(prob, cspec, x0s, max_iters):
-    """The outcome of a descent from each of ``x0s``: its (projection,
-    history, record), or the exception it raised."""
-    outcomes = []
-    for x0 in x0s:
-        try:
-            outcomes.append(_descend(prob, cspec, x0, max_iters))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _send_starts(conn, prob, cspec, x0s, max_iters):
-    """A forked worker's body: its starts' outcomes, and the formatted
-    traceback of each exception among them by index, sent down ``conn``.
-    An exception that does not survive pickling goes as a
-    ``ChildProcessError`` naming it."""
-    outcomes = _run_starts(prob, cspec, x0s, max_iters)
-    tracebacks = {}
-    for i, exc in enumerate(outcomes):
-        if isinstance(exc, Exception):
-            tracebacks[i] = "".join(traceback.format_exception(
-                type(exc), exc, exc.__traceback__))
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                outcomes[i] = ChildProcessError(
-                    f"a start raised {type(exc).__qualname__}, which does not "
-                    f"pickle: {exc}")
-    conn.send((outcomes, tracebacks))
-    conn.close()
-
-
-def _map_starts(prob, cspec, x0s, max_iters):
-    """:func:`_run_starts` over ``x0s`` in k processes, the outcomes in start
-    order.  Start i runs in share i % k: share 0 in this process, every other
-    share in a forked worker that inherits ``prob`` and pipes its outcomes
-    back; a worker's exception is raised here chained to its traceback.  k
-    is the number of starts capped by the CPUs this process may run on, and
-    1 where fork is unavailable, the CPU affinity is unknown (no
-    ``os.sched_getaffinity``, as on macOS), this process may not have
-    children (a daemonic process), another Python thread runs (a lock it
-    holds at the fork stays held in the worker), or the problem is 3D: its
-    dense products run on threaded BLAS, and k processes each running the
-    BLAS pool on the same CPUs are slower than one."""
-    k = 1
-    if (prob.dim == 2
-            and "fork" in multiprocessing.get_all_start_methods()
-            and hasattr(os, "sched_getaffinity")
-            and not multiprocessing.current_process().daemon
-            and threading.active_count() == 1):
-        k = min(len(x0s), len(os.sched_getaffinity(0)))
-    workers = []
-    try:
-        for share in range(1, k):
-            ctx = multiprocessing.get_context("fork")
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_starts, daemon=True,
-                               args=(send, prob, cspec, x0s[share::k], max_iters))
-            proc.start()
-            send.close()
-            workers.append((proc, recv))
-        outcomes = [None] * len(x0s)
-        outcomes[::k] = _run_starts(prob, cspec, x0s[::k], max_iters)
-        for share, (proc, recv) in enumerate(workers, 1):
-            try:
-                got, tracebacks = recv.recv()
-            except EOFError:
-                raise ChildProcessError(
-                    f"start worker {proc.pid} exited without its outcomes") from None
-            for i, text in tracebacks.items():
-                got[i].__cause__ = ChildProcessError(
-                    f"in start worker {proc.pid}:\n{text}")
-            outcomes[share::k] = got
-        return outcomes
-    except BaseException:
-        # a worker may still be running or blocked on its pipe
-        for proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in workers:
-            proc.join()
-            recv.close()
-
-
 def minimize_level(mask, weights, cspec, config, quadrature, backend,
                    extra_starts=()):
     """Best level over multistart smoothed projected descent.
@@ -640,11 +551,18 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
         guesses.append(extra)
 
     x0s = [prob.to_vector(u0) for u0 in guesses]
+
+    def start(x0):
+        return _descend(prob, cspec, x0, config.max_iters)
+
+    # a 3D problem's dense products run on threaded BLAS, and k processes
+    # each running the BLAS pool on the same CPUs are slower than one
+    starts_map = fork_map if prob.dim == 2 else run_tasks
     best = None
     histories = []
     starts = []
     levels = []
-    for outcome in _map_starts(prob, cspec, x0s, config.max_iters):
+    for outcome in starts_map(start, x0s):
         if isinstance(outcome, AffineBVError):
             histories.append([])
             starts.append(_start_record("projection_failed"))

@@ -4,10 +4,24 @@ Each check evaluates one comparison between grid-pipeline quantities (or
 between pipeline and closed-form oracle values) on a seeded corpus and
 returns a machine-readable record; ``run_suite`` aggregates the records
 into a report whose pass/fail drives the CLI exit code.
+
+The suites share nothing but the generator their corpora draw from, so
+``run_suite`` draws every corpus's random numbers first, in SUITES order,
+and then maps the suites over k processes with
+:func:`~affinebv.forkmap.fork_map`, one task per suite that builds its
+corpus and runs its checks.  k is the number of suites capped by the CPUs
+this process may run on (``os.sched_getaffinity``), and 1 where the "fork"
+start method or the affinity is unavailable, or this process is daemonic
+or runs other Python threads.  Suite i runs in share i % k; share 0 runs
+here, every other share in a forked worker that pipes back its records.
+The records are put back in suite order, so the report is that of a
+one-process run, byte for byte.  Spans or counters that a tracer records
+inside a worker do not reach this process; the records do.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,6 +39,7 @@ from .energy import (
     make_quadrature,
 )
 from .errors import ConfigError
+from .forkmap import fork_map
 from .functionals import clamp_rim, truncate
 from .grid import (
     GridFunction,
@@ -161,6 +176,24 @@ def disk_domain(grid):
     return spec, mask
 
 
+def _bump_draws(rng, dim, count, signed):
+    """The random numbers of ``count`` fields of :func:`random_bumps`, in its
+    order: per bump of each field, the center and the width as fractions of
+    their ranges and the amplitude."""
+    fields = []
+    for _ in range(count):
+        bumps = []
+        for _ in range(BUMPS_PER_FIELD):
+            c = rng.random(dim)
+            w = rng.random()
+            amp = rng.uniform(0.3, 1.0)
+            if signed and rng.random() < 0.5:
+                amp = -amp
+            bumps.append((c, w, amp))
+        fields.append(bumps)
+    return fields
+
+
 def random_bumps(mask, count, rng, signed=False):
     """Smooth compactly supported fields: sums of BUMPS_PER_FIELD random
     Gaussian bumps."""
@@ -170,14 +203,11 @@ def random_bumps(mask, count, rng, signed=False):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = hi - lo
     out = []
-    for _ in range(count):
+    for bumps in _bump_draws(rng, spec.dim, count, signed):
         vals = np.zeros(spec.shape)
-        for _ in range(BUMPS_PER_FIELD):
-            c = lo + (0.25 + 0.5 * rng.random(spec.dim)) * span
-            w = (0.08 + 0.12 * rng.random()) * float(span.min())
-            amp = rng.uniform(0.3, 1.0)
-            if signed and rng.random() < 0.5:
-                amp = -amp
+        for c, w, amp in bumps:
+            c = lo + (0.25 + 0.5 * c) * span
+            w = (0.08 + 0.12 * w) * float(span.min())
             vals += amp * np.exp(-sum((x - ck) ** 2 for x, ck in zip(xs, c))
                                  / (2 * w * w))
         vals = np.where(mask.inside, vals, 0.0)
@@ -406,52 +436,66 @@ def check_huang_li(corpus, mask, quadrature):
 # -- suite -------------------------------------------------------------------
 
 def run_suite(config):
+    """The report of the suites in ``config``, one fork-map task per suite
+    (see the module docstring).  A task builds its corpus with
+    :func:`random_bumps` from a copy of the generator at the corpus's first
+    draw, which this process made before moving past its draws."""
     rng = np.random.default_rng(config.seed)
-    records = []
     quad = make_quadrature(2, config.dirs)
-
     _, sq_mask = square_domain(config.grid)
     _, disk_mask = disk_domain(config.grid)
+    # each suite's random corpus: domain, field count, signed, name prefix
+    corpora = {
+        "sobolev_zhang": (disk_mask, config.n_fields, False, "bump"),
+        "comparisons": (disk_mask, config.n_fields, True, "field"),
+        "superadditivity": (sq_mask, max(1, config.n_fields // 5), True, "field"),
+        "affine_invariance": (disk_mask, 3, False, "field"),
+        "huang_li": (disk_mask, 2, False, "bump"),
+    }
+    tasks = []
+    for suite in SUITES:
+        if suite not in config.suites:
+            continue
+        start = None
+        if suite in corpora:
+            mask, count, signed, _ = corpora[suite]
+            start = copy.deepcopy(rng)
+            _bump_draws(rng, mask.spec.dim, count, signed)
+        tasks.append((suite, start))
 
-    def named(fields, prefix):
-        return [(f"{prefix}_{i}", u) for i, u in enumerate(fields)]
+    def run(task):
+        suite, start = task
+        fields = []
+        if start is not None:
+            mask, count, signed, prefix = corpora[suite]
+            fields = [(f"{prefix}_{i}", u) for i, u in
+                      enumerate(random_bumps(mask, count, start, signed=signed))]
+        disk = ("disk_indicator", GridFunction(disk_mask.spec,
+                                               disk_mask.inside.astype(float)))
+        if suite == "sobolev_zhang":
+            return [
+                check_sobolev_zhang([disk], disk_mask, quad, FACE_ATOMS, True),
+                check_sobolev_zhang(fields, disk_mask, quad, CELL_GRADIENT, False)]
+        if suite == "comparisons":
+            return [check_comparisons(fields, disk_mask, quad)]
+        if suite == "superadditivity":
+            return [check_superadditivity(fields, sq_mask, quad)]
+        if suite == "affine_invariance":
+            return [check_affine_invariance(fields, disk_mask, quad,
+                                            AFFINE_MAPS, config.seed)]
+        if suite == "wirtinger_gap":
+            return [check_wirtinger_gap(sq_mask, quad)]
+        # huang_li
+        centers = disk_mask.spec.cell_centers()
+        aniso = np.exp(-(4 * centers[..., 0] ** 2 + centers[..., 1] ** 2 / 4))
+        aniso_u = GridFunction(disk_mask.spec,
+                               np.where(disk_mask.inside, aniso, 0.0))
+        return [check_huang_li([disk, ("aniso_gaussian", aniso_u)] + fields,
+                               disk_mask, quad)]
 
-    if "sobolev_zhang" in config.suites:
-        disk = [("disk_indicator", GridFunction(disk_mask.spec,
-                                                disk_mask.inside.astype(float)))]
-        bumps = named(random_bumps(disk_mask, config.n_fields, rng), "bump")
-        records += [
-            check_sobolev_zhang(disk, disk_mask, quad, FACE_ATOMS, True),
-            check_sobolev_zhang(bumps, disk_mask, quad, CELL_GRADIENT, False)]
-
-    if "comparisons" in config.suites:
-        fields = named(random_bumps(disk_mask, config.n_fields, rng,
-                                    signed=True), "field")
-        records.append(check_comparisons(fields, disk_mask, quad))
-
-    if "superadditivity" in config.suites:
-        fields = named(random_bumps(sq_mask, max(1, config.n_fields // 5), rng,
-                                    signed=True), "field")
-        records.append(check_superadditivity(fields, sq_mask, quad))
-
-    if "affine_invariance" in config.suites:
-        fields = named(random_bumps(disk_mask, 3, rng), "field")
-        records.append(check_affine_invariance(
-            fields, disk_mask, quad, AFFINE_MAPS, config.seed))
-
-    if "wirtinger_gap" in config.suites:
-        records.append(check_wirtinger_gap(sq_mask, quad))
-
-    if "huang_li" in config.suites:
-        spec = disk_mask.spec
-        centers = spec.cell_centers()
-        aniso = np.exp(-(4 * centers[..., 0] ** 2
-                         + centers[..., 1] ** 2 / 4))
-        aniso_u = GridFunction(spec, np.where(disk_mask.inside, aniso, 0.0))
-        corpus = [
-            ("disk_indicator", GridFunction(spec, disk_mask.inside.astype(float))),
-            ("aniso_gaussian", aniso_u),
-        ] + named(random_bumps(disk_mask, 2, rng), "bump")
-        records.append(check_huang_li(corpus, disk_mask, quad))
-
+    records = []
+    for outcome in fork_map(run, tasks):
+        if isinstance(outcome, Exception):
+            raise outcome
+        records += outcome
     return VerifyReport(records=records, config=config)

@@ -56,6 +56,14 @@ def quad512():
     return make_quadrature(2, 512)
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One CPU to run on, so every task of a fork map (a solve's starts, a
+    verify run's suites) runs in this process and call counters in it see
+    them all."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def src_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH, so
     that a child interpreter imports the package under test."""

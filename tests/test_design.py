@@ -5,8 +5,9 @@ A settable value is a parameter with a default or an annotated field of a
 one doubles a configuration that tests and benchmarks could have to cover,
 so the count may fall but not rise; lower ``MAX_SETTABLE`` when it falls.
 Every public function and method has a caller in the package or the
-benchmark, and every private one a caller in the package.  The
-verification report's schema lists exactly ``VerifyConfig``'s fields.
+benchmark, and every private one a caller in the package.  At most one
+function forks worker processes.  The verification report's schema lists
+exactly ``VerifyConfig``'s fields.
 """
 
 import ast
@@ -65,6 +66,53 @@ def test_settable_values_do_not_grow():
     total = sum(settable_values(p.read_text()) for p in sorted(SRC.glob("*.py")))
     assert total <= MAX_SETTABLE, (
         f"{total} settable values in src/affinebv, more than {MAX_SETTABLE}")
+
+
+def fork_callers(source):
+    """Names of the functions in ``source`` that call ``get_context("fork")``,
+    the innermost one for a call in a nested function."""
+    tree = ast.parse(source)
+    defs = [n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    callers = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                == "get_context"
+                and [getattr(a, "value", None) for a in node.args] == ["fork"]):
+            around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            callers.add(max(around, key=lambda d: d.lineno).name
+                        if around else "<module>")
+    return callers
+
+
+def test_fork_finder_follows_the_rule():
+    source = '''
+import multiprocessing
+from multiprocessing import get_context
+
+def outer():
+    def inner():
+        return multiprocessing.get_context("fork")
+    return inner
+
+class Pool:
+    def start(self):
+        return get_context("fork")
+
+def spawned():
+    return multiprocessing.get_context("spawn")
+
+CTX = multiprocessing.get_context("fork")
+'''
+    assert fork_callers(source) == {"inner", "start", "<module>"}
+
+
+def test_one_fork_mechanism():
+    # a further caller of forked workers reuses forkmap.fork_map
+    callers = sorted(f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+                     for name in fork_callers(p.read_text()))
+    assert len(callers) <= 1, f"more than one function forks workers: {callers}"
 
 
 def test_report_schema_config_matches_verify_config():

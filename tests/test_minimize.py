@@ -560,13 +560,6 @@ class TestBenchmarkProblems:
                            for b in backtracks]
 
 
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """One CPU to run on, so every start runs in this process and call
-    counters in it see them all."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
 class _Abort(BaseException):
     """Not an Exception: no start outcome catches it."""
 

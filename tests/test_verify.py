@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from importlib import resources
 
 import jsonschema
@@ -24,7 +29,7 @@ from affinebv.verify import (
     square_domain,
 )
 
-from conftest import ellipse_domain
+from conftest import ellipse_domain, src_env
 
 
 @pytest.fixture
@@ -249,7 +254,7 @@ class TestRunSuite:
         for suite in ("comparisons", "superadditivity", "wirtinger_gap"):
             assert suite in names
 
-    def test_default_suite_builds_five_stencils(self, monkeypatch):
+    def test_default_suite_builds_five_stencils(self, monkeypatch, one_cpu):
         # two masks (disk and square) times two backends, plus the padded
         # box of the resample path: every other atom set of the suite,
         # about 980 of them, reuses its mask's stencil
@@ -396,3 +401,129 @@ class TestPassFromSlack:
         doc = VerifyConfig(suites=("huang_li",)).as_dict()
         assert doc["suites"] == ["huang_li"]
         assert set(doc) == {"grid", "dirs", "seed", "n_fields", "suites"}
+
+
+CHECKS = ("check_sobolev_zhang", "check_comparisons", "check_superadditivity",
+          "check_affine_invariance", "check_wirtinger_gap", "check_huang_li")
+
+
+class TestSuiteMap:
+    """The suites of a run are tasks of the fork map, share i % k of k
+    processes, with the report of a one-process run.  "Forked" is an
+    affinity of three CPUs, "one process" an affinity of one."""
+
+    @staticmethod
+    def _checks_with(monkeypatch, before):
+        """Route every check through ``before(pid)`` first."""
+        for name in CHECKS:
+            def check(*args, _orig=getattr(verify, name), **kw):
+                before(os.getpid())
+                return _orig(*args, **kw)
+
+            monkeypatch.setattr(verify, name, check)
+
+    @staticmethod
+    def _report(config):
+        return json.dumps(run_suite(config).as_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("suite", ("all",) + verify.SUITES)
+    def test_forked_equals_one_process(self, monkeypatch, tmp_path, request,
+                                       suite):
+        config = (VerifyConfig() if suite == "all" else
+                  request.getfixturevalue("small_config")(suites=(suite,)))
+        log = tmp_path / "pids"
+        log.touch()
+
+        def record(pid):
+            with log.open("a") as f:
+                f.write(f"{pid}\n")
+
+        self._checks_with(monkeypatch, record)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forked = self._report(config)
+        assert not multiprocessing.active_children()
+        forked_pids = set(log.read_text().split())
+        log.write_text("")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        single = self._report(config)
+        assert set(log.read_text().split()) == {str(os.getpid())}
+        assert forked == single
+        if suite == "all":
+            # six suites over three processes
+            assert len(forked_pids) == 3
+
+    def test_corpora_drawn_in_suite_order(self, small_config):
+        """Each suite's corpus continues the one generator where the previous
+        suite's corpus left it, as a serial run draws them."""
+        config = small_config()
+        rng = np.random.default_rng(config.seed)
+        _, disk = disk_domain(config.grid)
+        _, square = square_domain(config.grid)
+        for mask, count, signed in [(disk, 5, False), (disk, 5, True),
+                                    (square, 1, True), (disk, 3, False)]:
+            random_bumps(mask, count, rng, signed=signed)
+        bumps = [(f"bump_{i}", u) for i, u in enumerate(random_bumps(disk, 2, rng))]
+        ref = check_huang_li(bumps, disk, make_quadrature(2, config.dirs))
+        (rec,) = [r for r in run_suite(config).records if r.name == "huang_li"]
+        for name, _ in bumps:
+            assert rec.details[name] == ref.details[name]
+
+    def test_error_in_worker_keeps_its_type(self, monkeypatch, small_config):
+        parent = os.getpid()
+
+        def fail(pid):
+            if pid != parent:
+                raise FloatingPointError("raised in a worker's check")
+
+        self._checks_with(monkeypatch, fail)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(FloatingPointError, match="raised in a worker's check") as info:
+            run_suite(small_config())
+        assert not multiprocessing.active_children()
+        # the worker's traceback comes along as the cause
+        cause = str(info.value.__cause__)
+        assert "in start worker" in cause and "in fail" in cause
+        assert "FloatingPointError: raised in a worker's check" in cause
+
+    @pytest.mark.parametrize("why", ["no fork", "daemonic", "thread"])
+    def test_one_process_without_fork(self, monkeypatch, small_config, why):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        if why == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        elif why == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        pids = []
+        self._checks_with(monkeypatch, pids.append)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        if why == "thread":
+            other.start()
+        try:
+            report = run_suite(small_config())
+        finally:
+            done.set()
+            if why == "thread":
+                other.join(timeout=10)
+                assert not other.is_alive()
+        # one check call per record
+        assert pids == [os.getpid()] * len(report.records) == [os.getpid()] * 7
+        assert not multiprocessing.active_children()
+
+    def test_blas_threads_leave_report_unchanged(self):
+        """A forked suite gives the same report bytes with one BLAS thread
+        and two."""
+        script = (
+            "import json\n"
+            "from affinebv.verify import VerifyConfig, run_suite\n"
+            "print(json.dumps(run_suite(VerifyConfig(n_fields=10)).as_dict(),"
+            " sort_keys=True))\n")
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env={**src_env(), "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+        assert json.loads(out[0])["passed"] is True
