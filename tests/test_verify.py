@@ -446,6 +446,7 @@ class TestSuiteMap:
         log.write_text("")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         single = self._report(config)
+        assert not multiprocessing.active_children()
         assert set(log.read_text().split()) == {str(os.getpid())}
         assert forked == single
         if suite == "all":
@@ -465,6 +466,7 @@ class TestSuiteMap:
         bumps = [(f"bump_{i}", u) for i, u in enumerate(random_bumps(disk, 2, rng))]
         ref = check_huang_li(bumps, disk, make_quadrature(2, config.dirs))
         (rec,) = [r for r in run_suite(config).records if r.name == "huang_li"]
+        assert not multiprocessing.active_children()
         for name, _ in bumps:
             assert rec.details[name] == ref.details[name]
 
