@@ -77,17 +77,27 @@ class EnergyConstants:
 @functools.cache
 def constants(n):
     """Evaluate all closed-form constants for dimension ``n >= 2`` (cached:
-    every layer derives them from its grid or quadrature dimension)."""
+    every layer derives them from its grid or quadrature dimension).  A
+    dimension whose constants are not all finite floats, as from n = 171 on,
+    where ``gamma(n + 1)`` overflows, is a :class:`ConfigError`."""
     if n < 2:
         raise AffineBVError(f"dimension must be >= 2, got {n}")
-    omegas = tuple(unit_ball_volume(k) for k in range(1, n + 1))
-    alpha = (2 * omegas[n - 2]) ** (-1.0) * (n * omegas[n - 1]) ** (1.0 + 1.0 / n)
-    sharp = n * omegas[n - 1] ** (1.0 / n)
-    d0 = (
-        0.25 * math.pi * gamma((n + 1) / 2)
-        * gamma(n + 1.0) ** (1.0 / n)
-        * gamma(n / 2 + 1.0) ** (-1.0 / n - 1.0)
-    )
+    try:
+        # an overflow is rejected below, not warned about
+        with np.errstate(all="ignore"):
+            omegas = tuple(unit_ball_volume(k) for k in range(1, n + 1))
+            alpha = (2 * omegas[n - 2]) ** (-1.0) * (n * omegas[n - 1]) ** (1.0 + 1.0 / n)
+            sharp = n * omegas[n - 1] ** (1.0 / n)
+            d0 = (
+                0.25 * math.pi * gamma((n + 1) / 2)
+                * gamma(n + 1.0) ** (1.0 / n)
+                * gamma(n / 2 + 1.0) ** (-1.0 / n - 1.0)
+            )
+        finite = all(map(math.isfinite, (*omegas, alpha, sharp, d0)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"the constants of dimension {n} are not finite floats")
     return EnergyConstants(dim=n, omegas=omegas, alpha=float(alpha),
                            sharp_sobolev=float(sharp), d0=float(d0))
 

@@ -20,18 +20,12 @@ parts the accepted trial's value left.  Each start reports why it stopped
 and how many points it evaluated.
 
 The starts share nothing after :func:`initial_guesses`, so a 2D solve
-maps them over k processes with :func:`~affinebv.forkmap.fork_map`: k is
-the number of starts capped by the CPUs this process may run on
-(``os.sched_getaffinity``), and 1 where the "fork" start method or the
-affinity is unavailable, or this process is daemonic or runs other Python
-threads.  A 3D solve runs its starts here, one after another: its dense
-products threaded BLAS already spreads over the CPUs.  Start i runs in
-share i % k; share 0 runs here, every other share in a worker forked with
-the problem in its memory, which pipes back its starts' outcomes.  The
-outcomes are put back in start order, so the levels, histories and
-records are those of a one-process solve, bit for bit.  Spans or counters
-that a tracer records inside a worker do not reach this process; the
-start records do.
+maps them through :func:`~affinebv.forkmap.fork_map`, each task a whole
+start up to its nonsmooth level, with the levels, histories and records of
+a one-process solve, bit for bit.  A 3D solve runs its starts here, one
+after another: threaded BLAS already spreads its dense products over the
+CPUs, and k processes each running that pool on the same CPUs are slower
+than one.
 
 The solver tuning has one value in use, so it is module constants, read
 at call time, not config fields: the first trial step ``STEP_INIT``, its
@@ -57,7 +51,7 @@ from scipy import sparse
 
 from .energy import COV_EIGEN_EPS, constants
 from .errors import AffineBVError, ConfigError
-from .forkmap import fork_map, run_tasks
+from .forkmap import fork_map
 from .functionals import phi_affine, project_vector, rim_positions
 from .grid import GridFunction, mollify, parse_shape, row_norms, zero_extend
 from .variation import (
@@ -553,35 +547,27 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
     x0s = [prob.to_vector(u0) for u0 in guesses]
 
     def start(x0):
-        return _descend(prob, cspec, x0, config.max_iters)
-
-    # a 3D problem's dense products run on threaded BLAS, and k processes
-    # each running the BLAS pool on the same CPUs are slower than one
-    starts_map = fork_map if prob.dim == 2 else run_tasks
-    best = None
-    histories = []
-    starts = []
-    levels = []
-    for outcome in starts_map(start, x0s):
-        if isinstance(outcome, AffineBVError):
-            histories.append([])
-            starts.append(_start_record("projection_failed"))
-            levels.append(None)
-            continue
-        if isinstance(outcome, Exception):
-            raise outcome
-        pres, history, rec = outcome
-        starts.append(rec)
+        """A start's (level, projection, history, record); the level is
+        None where the start reached no extremal."""
+        try:
+            pres, history, rec = _descend(prob, cspec, x0, config.max_iters)
+        except AffineBVError:
+            return None, None, [], _start_record("projection_failed")
         if rec["stop"] == "degenerate":
-            histories.append(history)
-            levels.append(None)
-            continue
+            return None, None, history, rec
         pres.u = prob.to_field(pres.u)
         level = phi_affine(pres.u, mask, weights, quadrature, backend=backend)
-        histories.append(history + [level])
-        levels.append(level)
-        if best is None or level < best[0]:
-            best = (level, pres)
+        return level, pres, history + [level], rec
+
+    # a 3D solve runs serially (see the module docstring)
+    if prob.dim == 2:
+        outcomes = fork_map(start, x0s)
+    else:
+        outcomes = [start(x0) for x0 in x0s]
+    levels, projections, histories, starts = map(list, zip(*outcomes))
+    # min keeps the first of equal levels
+    best = min((i for i, level in enumerate(levels) if level is not None),
+               key=levels.__getitem__, default=None)
     if best is None:
         return MinimizeResult(
             level=float("nan"), extremal=GridFunction.zeros(mask.spec),
@@ -589,7 +575,7 @@ def minimize_level(mask, weights, cspec, config, quadrature, backend,
             histories=histories, start_levels=levels,
             meta={"failed": True, "starts": starts},
         )
-    level, pres = best
+    level, pres = levels[best], projections[best]
     return MinimizeResult(
         level=level,
         extremal=pres.u,

@@ -8,6 +8,7 @@ energy against its closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,14 @@ class EllipsoidBody:
         A = np.asarray(self.matrix, dtype=float)
         if A.shape != (self.dim, self.dim):
             raise ShapeError(f"matrix must be {self.dim}x{self.dim}")
-        if abs(np.linalg.det(A)) < 1e-300:
+        if not np.isfinite(A).all():
+            raise ShapeError("ellipsoid matrix must be finite")
+        # an overflowing determinant is rejected below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = abs(np.linalg.det(A))
+        if not np.isfinite(det):
+            raise ShapeError("ellipsoid matrix determinant is not a finite float")
+        if det < 1e-300:
             raise ShapeError("singular ellipsoid matrix")
         object.__setattr__(self, "matrix", A)
 
@@ -108,7 +116,8 @@ def energy_body(body):
     if isinstance(body, EllipsoidBody):
         vol = consts.omega_n * abs(np.linalg.det(body.matrix))
         exact = consts.sharp_sobolev * vol ** ((dim - 1.0) / dim)
-        if abs(out.value - exact) > 1e-4 * exact:
+        # false for a NaN or infinite energy or closed form, too
+        if not abs(out.value - exact) <= 1e-4 * exact < math.inf:
             raise AffineBVError(
                 f"ellipsoid energy self-check failed: {out.value} vs {exact}"
             )

@@ -7,16 +7,9 @@ into a report whose pass/fail drives the CLI exit code.
 
 The suites share nothing but the generator their corpora draw from, so
 ``run_suite`` draws every corpus's random numbers first, in SUITES order,
-and then maps the suites over k processes with
-:func:`~affinebv.forkmap.fork_map`, one task per suite that builds its
-corpus and runs its checks.  k is the number of suites capped by the CPUs
-this process may run on (``os.sched_getaffinity``), and 1 where the "fork"
-start method or the affinity is unavailable, or this process is daemonic
-or runs other Python threads.  Suite i runs in share i % k; share 0 runs
-here, every other share in a forked worker that pipes back its records.
-The records are put back in suite order, so the report is that of a
-one-process run, byte for byte.  Spans or counters that a tracer records
-inside a worker do not reach this process; the records do.
+and then maps the suites through :func:`~affinebv.forkmap.fork_map`, one
+task per suite that builds its corpus and runs its checks, with the report
+of a one-process run, byte for byte.
 """
 
 from __future__ import annotations
@@ -493,9 +486,5 @@ def run_suite(config):
         return [check_huang_li([disk, ("aniso_gaussian", aniso_u)] + fields,
                                disk_mask, quad)]
 
-    records = []
-    for outcome in fork_map(run, tasks):
-        if isinstance(outcome, Exception):
-            raise outcome
-        records += outcome
+    records = [rec for recs in fork_map(run, tasks) for rec in recs]
     return VerifyReport(records=records, config=config)

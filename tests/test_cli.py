@@ -71,6 +71,14 @@ class TestConstants:
         assert out == ""
         assert err == f"configuration error: --dim must be >= 2, got {dim}\n"
 
+    @pytest.mark.parametrize("dim", ["171", "100000"])
+    def test_overflowing_dim_exits_2(self, capsys, dim):
+        code, out, err = run_main(capsys, "constants", "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert err == (f"configuration error: the constants of dimension "
+                       f"{dim} are not finite floats\n")
+
 
 class TestEnergy:
     def test_square_indicator(self, capsys, square_cfg):
@@ -201,6 +209,18 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert err.startswith("configuration error: --matrix")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("matrix", ["[[1e200,0],[0,1e200]]",
+                                        "[[1e160,0],[0,1e160]]",
+                                        "[[NaN,0],[0,1]]"])
+    def test_non_finite_ellipse_exits_2(self, capsys, matrix):
+        # the determinant overflows, or the matrix holds a NaN
+        code, out, err = run_main(capsys, "oracle", "--body", "ellipse",
+                                  "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: ellipsoid matrix")
         assert err.count("\n") == 1
 
     def test_ellipse(self, capsys):

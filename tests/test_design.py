@@ -6,7 +6,9 @@ one doubles a configuration that tests and benchmarks could have to cover,
 so the count may fall but not rise; lower ``MAX_SETTABLE`` when it falls.
 Every public function and method has a caller in the package or the
 benchmark, and every private one a caller in the package.  At most one
-function forks worker processes.  The verification report's schema lists
+function forks worker processes, and only ``forkmap.py`` imports
+``multiprocessing``, ``pickle`` or ``threading``.  The verification
+report's schema lists
 exactly ``VerifyConfig``'s fields.
 """
 
@@ -113,6 +115,42 @@ def test_one_fork_mechanism():
     callers = sorted(f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
                      for name in fork_callers(p.read_text()))
     assert len(callers) <= 1, f"more than one function forks workers: {callers}"
+
+
+FORK_MODULES = {"multiprocessing", "pickle", "threading"}
+
+
+def fork_imports(source):
+    """The modules of ``FORK_MODULES`` that ``source`` imports, at any depth
+    and under any name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found & FORK_MODULES
+
+
+def test_fork_import_finder_follows_the_rule():
+    source = '''
+import os, pickle as pk
+from multiprocessing.connection import Pipe
+from .threading import x
+
+def late():
+    import threading
+    from collections import deque
+'''
+    assert fork_imports(source) == {"pickle", "multiprocessing", "threading"}
+    assert fork_imports("from . import threading\nimport os\n") == set()
+
+
+def test_fork_layer_stays_in_forkmap():
+    # process, pickling and thread machinery stays behind forkmap.fork_map
+    leaks = {p.stem: sorted(found) for p in sorted(SRC.glob("*.py"))
+             if p.name != "forkmap.py" and (found := fork_imports(p.read_text()))}
+    assert not leaks, f"modules besides forkmap import the fork layer: {leaks}"
 
 
 def test_report_schema_config_matches_verify_config():

@@ -22,7 +22,7 @@ from affinebv import (
     total_variation,
 )
 from affinebv.energy import energy_of_atoms
-from affinebv.errors import AffineBVError, GridError
+from affinebv.errors import AffineBVError, ConfigError, GridError
 from affinebv.variation import CELL_GRADIENT, FACE_ATOMS
 
 from conftest import indicator, random_field
@@ -64,6 +64,29 @@ class TestConstants:
     def test_low_dim_rejected(self):
         with pytest.raises(AffineBVError):
             constants(1)
+
+    @pytest.mark.parametrize("n,hexes", [
+        (2, ["0x1.0000000000000p+1", "0x1.921fb54442d18p+1",
+             "0x1.f7fccdff344acp+1", "0x1.c5bf891b4ef6ap+1",
+             "0x1.f7fccdff344acp-1"]),
+        (3, ["0x1.0000000000000p+1", "0x1.921fb54442d18p+1",
+             "0x1.0c152382d7366p+2", "0x1.2996264e0e3fep+2",
+             "0x1.3580a0e6efd90p+2", "0x1.f3e9fdeec064bp-1"]),
+    ])
+    def test_low_dims_bit_identical(self, n, hexes):
+        c = constants(n)
+        values = [*c.omegas, c.alpha, c.sharp_sobolev, c.d0]
+        assert [float(v).hex() for v in values] == hexes
+
+    def test_dim170_finite(self):
+        c = constants(170)
+        assert all(np.isfinite([*c.omegas, c.alpha, c.sharp_sobolev, c.d0]))
+
+    @pytest.mark.parametrize("n", [171, 400, 100_000])
+    def test_overflowing_dim_rejected(self, n):
+        # gamma(n + 1) overflows from n = 171; pi^(n/2) raises at 100,000
+        with pytest.raises(ConfigError, match=f"dimension {n} are not finite"):
+            constants(n)
 
 
 class TestQuadrature:

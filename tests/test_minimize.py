@@ -654,7 +654,7 @@ class TestStartMap:
         if where == "worker":
             # the worker's traceback comes along as the cause
             cause = str(info.value.__cause__)
-            assert "in start worker" in cause and "in fail" in cause
+            assert "in worker " in cause and "in fail" in cause
             assert "FloatingPointError: raised in the worker" in cause
 
     def test_unpicklable_error_in_worker_is_named(self, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from affinebv import constants
+from affinebv import constants, oracle
 from affinebv.errors import AffineBVError, ShapeError
 from affinebv.oracle import (
     EllipsoidBody,
@@ -130,6 +130,14 @@ class TestEllipsoid:
         with pytest.raises(ShapeError):
             EllipsoidBody(dim=2, matrix=np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("matrix", [[[np.nan, 0.0], [0.0, 1.0]],
+                                        [[np.inf, 0.0], [0.0, 1.0]],
+                                        [[1e200, 0.0], [0.0, 1e200]]])
+    def test_non_finite_rejected(self, matrix):
+        # no overflow warning either: the suite turns warnings into errors
+        with pytest.raises(ShapeError):
+            EllipsoidBody(dim=2, matrix=np.array(matrix))
+
 
 class TestEnergyBody:
     def test_square(self):
@@ -170,6 +178,12 @@ class TestEnergyBody:
         area = np.pi * 1.5 * 0.8
         ratio = energy_body(body) / area ** 0.5
         assert ratio == pytest.approx(constants(2).sharp_sobolev, rel=1e-4)
+
+
+    def test_nan_psi_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(oracle, "psi_body", lambda body, xi: float("nan"))
+        with pytest.raises(AffineBVError, match="self-check failed: nan"):
+            energy_body(EllipsoidBody(dim=2, matrix=np.eye(2)))
 
 
 class TestSelfCheck:

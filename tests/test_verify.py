@@ -484,7 +484,7 @@ class TestSuiteMap:
         assert not multiprocessing.active_children()
         # the worker's traceback comes along as the cause
         cause = str(info.value.__cause__)
-        assert "in start worker" in cause and "in fail" in cause
+        assert "in worker " in cause and "in fail" in cause
         assert "FloatingPointError: raised in a worker's check" in cause
 
     @pytest.mark.parametrize("why", ["no fork", "daemonic", "thread"])
